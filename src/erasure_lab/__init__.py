@@ -20,7 +20,6 @@ from .erasure import (
     ErasureConfig,
     ProbabilityTable,
     SlitModel,
-    bin_probability,
     fringe_visibility,
     run_delayed_choice,
     run_simple_erasure,
@@ -31,13 +30,11 @@ from .measurement import (
     Branch,
     CutComparison,
     MeasurementOutcome,
-    controlled_shift_unitary,
-    couple_detector,
+    balanced_pair,
     couple_shift_register,
     cut_compare,
     distant_measure,
     mark_which_way,
-    which_way_marker,
 )
 from .schmidt import (
     CorrelationOperator,
@@ -81,13 +78,11 @@ __all__ = [
     "SymmetryClass",
     "UnitaryOperator",
     "apply_unitary",
+    "balanced_pair",
     "basis_state",
-    "bin_probability",
     "classify_symmetry",
     "coherence_pair",
-    "controlled_shift_unitary",
     "correlation_operator",
-    "couple_detector",
     "couple_shift_register",
     "cut_compare",
     "distant_measure",
@@ -107,5 +102,4 @@ __all__ = [
     "tensor",
     "trace_norm_distance",
     "verify_equality",
-    "which_way_marker",
 ]

@@ -58,8 +58,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError("tolerance must be positive and finite")
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self.erasure)
@@ -88,6 +88,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     erasure_kwargs = {k: raw[k] for k in _ERASURE_KEYS if k in raw}
     try:
         erasure_config = erasure.ErasureConfig(**erasure_kwargs)
+        tolerance = erasure.positive_number("tolerance", raw.get("tolerance", DEFAULT_TOLERANCE), float)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -98,7 +99,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
         command=str(resolved_command),
         erasure=erasure_config,
         output_path=str(raw.get("output_path", DEFAULT_OUTPUT_PATH)),
-        tolerance=float(raw.get("tolerance", DEFAULT_TOLERANCE)),
+        tolerance=tolerance,
     )
 
 
@@ -131,7 +132,7 @@ class RunReport:
     files: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(out_dir: Path, name: str, content: str) -> str:
@@ -141,7 +142,7 @@ def _write(out_dir: Path, name: str, content: str) -> str:
 
 
 def _run_schmidt(config: ExperimentConfig, out_dir: Path):
-    pair = measurement.mark_which_way(math.sqrt(0.5), math.sqrt(0.5))
+    pair = measurement.balanced_pair()
     dec = schmidt.schmidt_decompose(pair, (0,))
     epr = schmidt.is_epr_type(dec)
     lines = [
@@ -164,7 +165,7 @@ def _run_search_bases(config: ExperimentConfig, out_dir: Path):
 def _run_erasure(config: ExperimentConfig, out_dir: Path, pipeline: str):
     cfg = config.erasure
     if pipeline == "whichway":
-        cfg = cfg.with_updates(basis="whichway")
+        cfg = dataclasses.replace(cfg, basis="whichway")
         table = erasure.run_simple_erasure(cfg)
     elif pipeline == "simple":
         table = erasure.run_simple_erasure(cfg)
@@ -206,7 +207,7 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     mixture from measuring the triggered register is compared with the
     partial trace of the composite state.
     """
-    pair = measurement.mark_which_way(math.sqrt(0.5), math.sqrt(0.5))
+    pair = measurement.balanced_pair()
     register0 = states.basis_state((3,), (0,))
     idle0 = states.basis_state((3,), (0,))
 

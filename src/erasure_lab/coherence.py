@@ -17,8 +17,9 @@ from enum import Enum
 
 import numpy as np
 
+from .measurement import balanced_pair
 from .schmidt import SchmidtDecomposition, reschmidt
-from .states import HilbertShape, StateVector, UnitaryOperator, state_vector
+from .states import StateVector, UnitaryOperator, state_vector
 
 CLASSIFY_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
@@ -125,12 +126,6 @@ def classify_symmetry(dec: SchmidtDecomposition, tol: float = CLASSIFY_TOL) -> S
     return SymmetryClass.NEITHER
 
 
-def _maximally_entangled_pair() -> StateVector:
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = amps[3] = math.sqrt(0.5)
-    return StateVector(HilbertShape((2, 2)), amps)
-
-
 def search_symmetric_bases(
     grid_steps: int,
     canonical: bool = True,
@@ -150,7 +145,7 @@ def search_symmetric_bases(
     """
     if grid_steps < 8:
         raise ValueError("grid_steps must be at least 8")
-    pair = _maximally_entangled_pair()
+    pair = balanced_pair()
     hits: list[tuple[int, int, SymmetryClass]] = []
     for k_lam in range(grid_steps):
         for k_delta in range(grid_steps):

@@ -31,17 +31,17 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .measurement import couple_shift_register, distant_measure, mark_which_way
-from .states import StateVector, UnitaryOperator, apply_unitary, state_vector
+from .measurement import balanced_pair, couple_shift_register, distant_measure
+from .schmidt import correlation_operator, schmidt_decompose
+from .states import UnitaryOperator, apply_unitary, state_vector
 
 SUM_TOL = 1e-6
-COVERAGE_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
 
 MODES = ("simple", "delayed", "whichway")
@@ -66,18 +66,6 @@ _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
     ),
 }
 
-# Screen wavefunction coefficients (over the two slit modes) per outcome
-# label.  The coherence outcomes pair with the conjugate-coefficient screen
-# state, so "+i" detects the (psi_1 - i psi_2)/sqrt(2) pattern.
-_LABEL_COEFFS: dict[str, np.ndarray] = {
-    "1": np.array([1.0, 0.0]),
-    "2": np.array([0.0, 1.0]),
-    "+": np.array([_SQRT_HALF, _SQRT_HALF]),
-    "-": np.array([_SQRT_HALF, -_SQRT_HALF]),
-    "+i": np.array([_SQRT_HALF, -1j * _SQRT_HALF]),
-    "-i": np.array([_SQRT_HALF, 1j * _SQRT_HALF]),
-}
-
 
 @dataclass(frozen=True)
 class SlitModel:
@@ -85,34 +73,17 @@ class SlitModel:
 
     psi_j(x) = g(x) * exp(i * (-1)^j * phase_gradient * x) for j in {1, 2},
     where g is the uniform window envelope of half-width
-    4 * envelope_width centered on the screen origin.  `slit_separation`
-    records the aperture geometry; the fringe spacing itself is set by
-    `phase_gradient` (see `from_geometry`).
+    4 * envelope_width centered on the screen origin; `phase_gradient` sets
+    the fringe spacing.
     """
 
-    slit_separation: float = 1.0
     envelope_width: float = 1.0
     phase_gradient: float = 3.0 * math.pi / 8.0
 
     def __post_init__(self):
-        for name in ("slit_separation", "envelope_width", "phase_gradient"):
-            if getattr(self, name) <= 0:
+        for name in ("envelope_width", "phase_gradient"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def from_geometry(
-        cls,
-        slit_separation: float,
-        wavenumber: float,
-        screen_distance: float,
-        envelope_width: float = 1.0,
-    ) -> "SlitModel":
-        """Phase gradient from aperture geometry: kappa = k * s / (2 L)."""
-        return cls(
-            slit_separation=slit_separation,
-            envelope_width=envelope_width,
-            phase_gradient=wavenumber * slit_separation / (2.0 * screen_distance),
-        )
 
     @property
     def support_half_width(self) -> float:
@@ -140,25 +111,20 @@ class SlitModel:
 
 @dataclass(frozen=True)
 class DetectorArray:
-    """N contiguous detector bins of equal width, centered on the origin by default."""
+    """N contiguous detector bins of equal width, centered on the origin."""
 
     n_bins: int
     bin_width: float
-    first_center: float | None = None
 
     def __post_init__(self):
         if self.n_bins < 1:
             raise ValueError("n_bins must be positive")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
-        if self.first_center is None:
-            object.__setattr__(
-                self, "first_center", -(self.n_bins - 1) * self.bin_width / 2.0
-            )
 
     @property
     def centers(self) -> np.ndarray:
-        return self.first_center + self.bin_width * np.arange(self.n_bins)
+        return -(self.n_bins - 1) * self.bin_width / 2.0 + self.bin_width * np.arange(self.n_bins)
 
     @property
     def span(self) -> float:
@@ -168,7 +134,7 @@ class DetectorArray:
         """Bounds of 1-based bin n."""
         if not 1 <= n <= self.n_bins:
             raise ValueError(f"bin index {n} out of range 1..{self.n_bins}")
-        center = self.first_center + (n - 1) * self.bin_width
+        center = float(self.centers[n - 1])
         return center - self.bin_width / 2.0, center + self.bin_width / 2.0
 
 
@@ -201,13 +167,16 @@ def quadrature_grid(
 def screen_amplitude(model: SlitModel, d: str, x) -> np.ndarray | complex:
     """Screen wavefunction for outcome label d at position(s) x.
 
-    Labels "1"/"2" give the bare slit modes; "+"/"-" the symmetric and
-    antisymmetric combinations (psi_1 +- psi_2)/sqrt(2); "+i"/"-i" the
-    partner patterns (psi_1 -+ i psi_2)/sqrt(2).
+    The slit coefficients are the partner, under the source pair's
+    correlation operator, of the marker ket labelled d: "1"/"2" give the bare
+    slit modes, "+"/"-" the combinations (psi_1 +- psi_2)/sqrt(2), and
+    "+i"/"-i" the conjugate patterns (psi_1 -+ i psi_2)/sqrt(2).
     """
-    if d not in _LABEL_COEFFS:
+    kets = {label: ket for choice in _BASIS_KETS.values() for label, ket in choice}
+    if d not in kets:
         raise ValueError(f"unknown outcome label {d!r}")
-    values = model.wavefunction(_LABEL_COEFFS[d], np.atleast_1d(np.asarray(x, float)))
+    partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
+    values = model.wavefunction(partner, np.atleast_1d(np.asarray(x, float)))
     return values if np.ndim(x) else complex(values[0])
 
 
@@ -223,40 +192,6 @@ def _bin_values(
         np.add.at(sums, bin_index, weights * psi)
         return np.abs(sums[1:]) ** 2
     raise ValueError(f"unknown Born rule {rule!r}")
-
-
-def bin_probability(
-    model: SlitModel,
-    array: DetectorArray,
-    d: str,
-    n: int,
-    rule: str = "intensity",
-    points_per_bin: int = 256,
-) -> float:
-    """Detection value of outcome-d's wavefunction in 1-based bin n.
-
-    `intensity` integrates |psi_d|^2 over the bin; `amplitude` is the squared
-    modulus of the integrated amplitude.
-    """
-    array.edges(n)  # range check
-    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
-    psi = screen_amplitude(model, d, nodes)
-    return float(_bin_values(psi, weights, bin_index, array.n_bins, rule)[n - 1])
-
-
-def coverage(
-    model: SlitModel,
-    array: DetectorArray,
-    labels: Sequence[str] = ("1", "2", "+", "-", "+i", "-i"),
-    points_per_bin: int = 256,
-) -> float:
-    """Smallest total detection probability over the array among the labels."""
-    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
-    totals = []
-    for d in labels:
-        psi = screen_amplitude(model, d, nodes)
-        totals.append(float(np.sum(_bin_values(psi, weights, bin_index, array.n_bins, "intensity"))))
-    return min(totals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,13 +213,13 @@ class ProbabilityTable:
         centers = np.array(self.centers, dtype=float)
         if values.shape != (len(self.labels), centers.size):
             raise ValueError("values must have shape (len(labels), n_bins)")
-        if np.min(values) < -1e-12:
+        if not np.min(values) >= -1e-12:
             raise ValueError("probabilities must be nonnegative")
         # The integrated-amplitude rule is not normalizable across bins, so
         # only intensity tables are required to sum to one.
         if self.born_rule == "intensity":
             total = float(values.sum())
-            if abs(total - 1.0) > SUM_TOL:
+            if not abs(total - 1.0) <= SUM_TOL:
                 raise ValueError(f"table total {total!r} deviates from 1 beyond {SUM_TOL}")
         values.setflags(write=False)
         centers.setflags(write=False)
@@ -323,11 +258,28 @@ class ProbabilityTable:
         return out.getvalue()
 
 
+def positive_number(name: str, raw, kind: type) -> float | int:
+    """`raw` as a positive finite `kind`, or a ValueError naming the field.
+
+    Booleans, NaN, infinities and (for int fields) non-integral values are
+    rejected rather than coerced.
+    """
+    try:
+        value = kind(raw)
+        valid = not isinstance(raw, bool) and math.isfinite(value) and (kind is float or value == raw)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class ErasureConfig:
     """Experiment parameters; also the JSON schema of the configuration file."""
 
-    slit_separation: float = 1.0
     envelope_width: float = 1.0
     phase_gradient: float = 3.0 * math.pi / 8.0
     n_bins: int = 16
@@ -338,19 +290,10 @@ class ErasureConfig:
     quadrature_points: int = 256
 
     def __post_init__(self):
-        for name in ("slit_separation", "envelope_width", "phase_gradient", "bin_width", "span"):
-            value = float(getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, value)
+        for name in ("envelope_width", "phase_gradient", "bin_width", "span"):
+            object.__setattr__(self, name, positive_number(name, getattr(self, name), float))
         for name in ("n_bins", "quadrature_points"):
-            raw = getattr(self, name)
-            value = int(raw)
-            if value != raw:
-                raise ValueError(f"{name} must be an integer")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_number(name, getattr(self, name), int))
         if self.basis not in BASIS_CHOICES:
             raise ValueError(f"basis must be one of {BASIS_CHOICES}")
         if self.born_rule not in BORN_RULES:
@@ -361,25 +304,14 @@ class ErasureConfig:
             raise ValueError("span must cover the envelope support (8 * envelope_width)")
 
     def model(self) -> SlitModel:
-        return SlitModel(
-            slit_separation=self.slit_separation,
-            envelope_width=self.envelope_width,
-            phase_gradient=self.phase_gradient,
-        )
+        return SlitModel(envelope_width=self.envelope_width, phase_gradient=self.phase_gradient)
 
     def array(self) -> DetectorArray:
         return DetectorArray(n_bins=self.n_bins, bin_width=self.bin_width)
 
-    def with_updates(self, **changes) -> "ErasureConfig":
-        return replace(self, **changes)
-
 
 def _table_mode(basis: str, pipeline: str) -> str:
     return "whichway" if basis == "whichway" else pipeline
-
-
-def _source_pair() -> StateVector:
-    return mark_which_way(_SQRT_HALF, _SQRT_HALF)
 
 
 def run_simple_erasure(
@@ -398,7 +330,7 @@ def run_simple_erasure(
     """
     model, array = config.model(), config.array()
     nodes, weights, bin_index = quadrature_grid(array, config.quadrature_points)
-    source = _source_pair()
+    source = balanced_pair()
     if marker_unitary is not None:
         source = apply_unitary(source, marker_unitary, (0,))
     kets = _BASIS_KETS[config.basis]

@@ -12,23 +12,22 @@ measurement is represented as a list of weighted branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .schmidt import VectorLike, _as_vector
+from .schmidt import VectorLike, _as_vector, require_orthonormal
 from .states import (
     HilbertShape,
     StateVector,
-    UnitaryOperator,
-    apply_unitary,
+    coefficient_matrix,
     partial_trace,
-    tensor,
+    trace_norm_distance,
 )
 
 COMPLETENESS_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
 NULL_OUTCOME_TOL = 1e-14
 
 
@@ -84,6 +83,11 @@ def mark_which_way(alpha: complex, beta: complex) -> StateVector:
     return StateVector(HilbertShape((2, 2)), amps)
 
 
+def balanced_pair() -> StateVector:
+    """The equal-weight marked pair (|1,1> + |2,2>)/sqrt(2), the erasure source."""
+    return mark_which_way(math.sqrt(0.5), math.sqrt(0.5))
+
+
 def distant_measure(
     state: StateVector,
     split: Sequence[int],
@@ -97,25 +101,19 @@ def distant_measure(
     basis must be orthonormal and complete on the measured part's support
     (probabilities must sum to 1).
     """
-    split = state.shape.validate_subsystems(split)
-    if not split or len(split) == state.shape.n_subsystems:
-        raise ValueError("split must be a nonempty proper subset of the subsystems")
-    rest = state.shape.complement(split)
-    rest_dims = tuple(state.dims[i] for i in rest)
-    d_meas = state.shape.subset_dim(split)
+    psi = coefficient_matrix(state, split)
+    rest_dims = tuple(state.dims[i] for i in state.shape.complement(split))
+    d_meas = psi.shape[0]
 
     vectors = np.array([_as_vector(b) for b in basis])
     if vectors.ndim != 2 or vectors.shape[1] != d_meas:
         raise ValueError(f"basis vectors must have dimension {d_meas}")
-    gram = vectors.conj() @ vectors.T
-    if np.max(np.abs(gram - np.eye(len(vectors)))) > ORTHONORMALITY_TOL:
-        raise ValueError("measurement basis is not orthonormal within tolerance")
+    require_orthonormal(vectors, "measurement basis")
     if labels is None:
         labels = [str(k) for k in range(len(vectors))]
     elif len(labels) != len(vectors):
         raise ValueError("need one label per basis vector")
 
-    psi = state.tensor_view().transpose(split + rest).reshape(d_meas, -1)
     projections = vectors.conj() @ psi
     probabilities = np.einsum("kr,kr->k", projections, projections.conj()).real
 
@@ -137,49 +135,6 @@ def distant_measure(
     return outcomes
 
 
-def couple_detector(
-    state: StateVector,
-    detector_init: StateVector,
-    u: UnitaryOperator,
-    targets: Sequence[int],
-) -> StateVector:
-    """Append a detector in `detector_init` and evolve `targets` jointly by `u`.
-
-    Target indices refer to the combined system, whose subsystems are the
-    input's followed by the detector's.  Unitarity keeps images of orthogonal
-    inputs orthogonal, so the Schmidt coefficients seen from any untouched
-    subsystem are preserved.
-    """
-    return apply_unitary(tensor(state, detector_init), u, targets)
-
-
-def controlled_shift_unitary(
-    control_dim: int,
-    register_dim: int,
-    shifts: Sequence[int],
-) -> UnitaryOperator:
-    """Permutation unitary |j>|m> -> |j>|m + shifts[j] mod register_dim>.
-
-    With a register prepared in |0>, shift amounts act as outcome flags:
-    shifts[j] = j records the control state in place, shifts[j] = j + 1
-    keeps flag 0 free to mean "untriggered".
-    """
-    shifts = [int(s) for s in shifts]
-    if len(shifts) != control_dim:
-        raise ValueError("need one register shift per control basis state")
-    dim = control_dim * register_dim
-    mat = np.zeros((dim, dim))
-    for j in range(control_dim):
-        for m in range(register_dim):
-            mat[j * register_dim + (m + shifts[j]) % register_dim, j * register_dim + m] = 1.0
-    return UnitaryOperator(dim, mat)
-
-
-def which_way_marker(dim: int) -> UnitaryOperator:
-    """Ideal marking interaction |j>|0> -> |j>|j> on an equal-sized register."""
-    return controlled_shift_unitary(dim, dim, list(range(dim)))
-
-
 def couple_shift_register(
     state: StateVector,
     shifts: Sequence[int],
@@ -187,9 +142,9 @@ def couple_shift_register(
 ) -> StateVector:
     """Append a register in |0> and apply the controlled shift keyed on the last subsystem.
 
-    Same action as `couple_detector` with `controlled_shift_unitary`, but the
-    permutation is applied by indexing so large control spaces (position
-    grids) never materialize a matrix.
+    The permutation |j>|m> -> |j>|m + shifts[j] mod register_dim> is applied
+    by indexing, so large control spaces (position grids) never materialize
+    a matrix.
     """
     shifts = np.asarray(shifts, dtype=int) % register_dim
     d_ctrl = state.dims[-1]
@@ -237,8 +192,7 @@ def cut_compare(
             reduced = partial_trace(branch.state, local).matrix
         mixture = mixture + branch.weight * reduced
 
-    diff = improper.matrix - mixture
-    distance = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    distance = trace_norm_distance(improper.matrix, mixture)
     complete = abs(total_weight - 1.0) <= COMPLETENESS_TOL
     return CutComparison(distance=distance, branches_complete=complete)
 
@@ -251,14 +205,3 @@ def branches_from_outcomes(outcomes: Sequence[MeasurementOutcome]) -> list[Branc
         if o.post_state is not None
     ]
 
-
-def ensemble_density(outcomes: Sequence[MeasurementOutcome]) -> np.ndarray:
-    """Weighted mixture sum_k p_k |post_k><post_k| over the realized outcomes."""
-    realized = [o for o in outcomes if o.post_state is not None]
-    if not realized:
-        raise ValueError("no realized outcomes")
-    dim = realized[0].post_state.shape.total_dim
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for o in realized:
-        rho += o.probability * o.post_state.density_matrix()
-    return rho

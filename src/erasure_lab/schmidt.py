@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .states import HilbertShape, StateVector
+from .states import HilbertShape, StateVector, coefficient_matrix
 
 SCHMIDT_CUTOFF = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -53,14 +53,11 @@ def _fix_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndar
     return left * np.conj(phase), right * phase
 
 
-def _coefficient_matrix(state: StateVector, split: Sequence[int]) -> np.ndarray:
-    """State amplitudes as a (dim_left x dim_right) matrix under the bipartition."""
-    split = state.shape.validate_subsystems(split)
-    if not split or len(split) == state.shape.n_subsystems:
-        raise ValueError("split must be a nonempty proper subset of the subsystems")
-    rest = state.shape.complement(split)
-    d_left = state.shape.subset_dim(split)
-    return state.tensor_view().transpose(split + rest).reshape(d_left, -1)
+def require_orthonormal(vectors: np.ndarray, what: str) -> None:
+    """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= ORTHONORMALITY_TOL."""
+    defect = float(np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors))))
+    if not defect <= ORTHONORMALITY_TOL:
+        raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +128,7 @@ def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomp
     Computed by SVD of the coefficient matrix; product states come back with
     rank 1 rather than an error.
     """
-    matrix = _coefficient_matrix(state, split)
+    matrix = coefficient_matrix(state, split)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     retained = s > SCHMIDT_CUTOFF
     s = s[retained]
@@ -167,9 +164,7 @@ class CorrelationOperator:
     def __post_init__(self):
         basis = np.array(self.domain_basis, dtype=np.complex128)
         iso = np.array(self.isometry, dtype=np.complex128)
-        gram = iso.conj().T @ iso
-        if np.linalg.norm(gram - np.eye(iso.shape[1])) > ORTHONORMALITY_TOL:
-            raise ValueError("isometry columns are not orthonormal on the support")
+        require_orthonormal(iso.T, "isometry column set")
         basis.setflags(write=False)
         iso.setflags(write=False)
         object.__setattr__(self, "domain_basis", basis)
@@ -201,13 +196,11 @@ def reschmidt(
     The caller's vectors are kept verbatim (order and phases); coefficients
     are therefore in the caller's order, not sorted.
     """
-    matrix = _coefficient_matrix(state, split)
+    matrix = coefficient_matrix(state, split)
     basis = np.array([_as_vector(v) for v in basis_left])
     if basis.shape[1] != matrix.shape[0]:
         raise ValueError("basis vectors do not match the left subsystem dimension")
-    gram = basis.conj() @ basis.T
-    if np.max(np.abs(gram - np.eye(len(basis)))) > ORTHONORMALITY_TOL:
-        raise ValueError("basis_left is not orthonormal within tolerance")
+    require_orthonormal(basis, "basis_left")
 
     partners = basis.conj() @ matrix
     coeffs = np.linalg.norm(partners, axis=1)

@@ -11,9 +11,8 @@ function; complex numbers are 64-bit per component throughout.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 UNITARY_TOL = 1e-10
-
-_EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 def _readonly(values, dtype=np.complex128) -> np.ndarray:
@@ -95,7 +92,7 @@ class StateVector:
                 f"expected {self.shape.total_dim} amplitudes, got array of shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > self.tolerance:
+        if not abs(norm - 1.0) <= self.tolerance:
             raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -125,10 +122,10 @@ class DensityOperator:
         mat = _readonly(self.matrix)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
         if float(np.min(np.linalg.eigvalsh(mat))) < -EIG_TOL:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
@@ -149,7 +146,7 @@ class UnitaryOperator:
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
         defect = np.linalg.norm(mat.conj().T @ mat - np.eye(self.dim))
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (Frobenius defect {defect:.3e})")
         object.__setattr__(self, "matrix", mat)
 
@@ -203,49 +200,27 @@ def apply_unitary(state: StateVector, u: UnitaryOperator, targets: Sequence[int]
     return StateVector(state.shape, out.reshape(-1), tolerance=state.tolerance)
 
 
-def partial_trace(
-    state: Union[StateVector, DensityOperator],
-    keep: Sequence[int],
-    shape: HilbertShape | None = None,
-) -> DensityOperator:
-    """Reduced density operator on the `keep` subsystems (in the given order).
-
-    For a StateVector the subsystem structure is taken from the state; for a
-    DensityOperator it must be supplied via `shape`.
-    """
-    if isinstance(state, StateVector):
-        shape = state.shape
-    elif shape is None:
-        raise ValueError("partial_trace of a DensityOperator requires an explicit shape")
-    keep = shape.validate_subsystems(keep)
-    if not keep or len(keep) == shape.n_subsystems:
-        raise ValueError("keep must be a nonempty proper subset of the subsystems")
-    traced = shape.complement(keep)
-    d_keep = shape.subset_dim(keep)
-
-    if isinstance(state, StateVector):
-        psi = state.tensor_view().transpose(keep + traced).reshape(d_keep, -1)
-        rho = psi @ psi.conj().T
-        return DensityOperator(d_keep, rho)
-
-    if state.dim != shape.total_dim:
-        raise ValueError("shape does not match the operator dimension")
-    n = shape.n_subsystems
-    if 2 * n > len(_EINSUM_LETTERS):
-        raise ValueError("too many subsystems for the einsum contraction")
-    mat = state.matrix.reshape(shape.dims + shape.dims)
-    row = list(_EINSUM_LETTERS[:n])
-    col = [row[i] if i in traced else _EINSUM_LETTERS[n + i] for i in range(n)]
-    out = [row[i] for i in keep] + [_EINSUM_LETTERS[n + i] for i in keep]
-    rho = np.einsum("".join(row + col) + "->" + "".join(out), mat)
-    return DensityOperator(d_keep, rho.reshape(d_keep, d_keep))
+def coefficient_matrix(state: StateVector, split: Sequence[int]) -> np.ndarray:
+    """State amplitudes as a (dim_split x dim_rest) matrix under the bipartition."""
+    split = state.shape.validate_subsystems(split)
+    if not split or len(split) == state.shape.n_subsystems:
+        raise ValueError("split must be a nonempty proper subset of the subsystems")
+    rest = state.shape.complement(split)
+    d_split = state.shape.subset_dim(split)
+    return state.tensor_view().transpose(split + rest).reshape(d_split, -1)
 
 
-def trace_norm_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Trace norm of the difference, tr|a - b| (no 1/2 prefactor)."""
-    if a.dim != b.dim:
+def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
+    """Reduced density operator on the `keep` subsystems (in the given order)."""
+    psi = coefficient_matrix(state, keep)
+    return DensityOperator(psi.shape[0], psi @ psi.conj().T)
+
+
+def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of the difference of two Hermitian matrices, tr|a - b| (no 1/2 prefactor)."""
+    if a.shape != b.shape:
         raise ValueError("operators must have equal dimension")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
-from erasure_lab import HilbertShape, StateVector
+from erasure_lab import HilbertShape, StateVector, UnitaryOperator, apply_unitary, screen_amplitude, tensor
+from erasure_lab.erasure import _bin_values, quadrature_grid
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -27,3 +30,77 @@ def reduced_density_oracle(state: StateVector, keep_axis: int) -> np.ndarray:
 def trace_distance_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of singular values of the difference (trace norm, no 1/2)."""
     return float(np.sum(np.linalg.svd(a - b, compute_uv=False)))
+
+
+def partial_trace_oracle(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Reduced density matrix of a full density matrix over subsystems `dims`, by einsum.
+
+    Works on an operator rather than a state vector, so it shares no code
+    with the library's partial_trace.
+    """
+    letters = string.ascii_letters
+    n = len(dims)
+    row = list(letters[:n])
+    col = [row[i] if i not in keep else letters[n + i] for i in range(n)]
+    out = [row[i] for i in keep] + [letters[n + i] for i in keep]
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    reduced = np.einsum("".join(row + col) + "->" + "".join(out), rho.reshape(tuple(dims) * 2))
+    return reduced.reshape(d_keep, d_keep)
+
+
+def ensemble_density(outcomes) -> np.ndarray:
+    """Weighted mixture sum_k p_k |post_k><post_k| over the realized outcomes."""
+    realized = [o for o in outcomes if o.post_state is not None]
+    dim = realized[0].post_state.shape.total_dim
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    for o in realized:
+        rho += o.probability * o.post_state.density_matrix()
+    return rho
+
+
+def controlled_shift_unitary(control_dim: int, register_dim: int, shifts) -> UnitaryOperator:
+    """Permutation unitary |j>|m> -> |j>|m + shifts[j] mod register_dim> as an explicit matrix.
+
+    The matrix route that couple_shift_register replaces by indexing.
+    """
+    dim = control_dim * register_dim
+    mat = np.zeros((dim, dim))
+    for j in range(control_dim):
+        for m in range(register_dim):
+            mat[j * register_dim + (m + shifts[j]) % register_dim, j * register_dim + m] = 1.0
+    return UnitaryOperator(dim, mat)
+
+
+def which_way_marker(dim: int) -> UnitaryOperator:
+    """Ideal marking interaction |j>|0> -> |j>|j> on an equal-sized register."""
+    return controlled_shift_unitary(dim, dim, list(range(dim)))
+
+
+def couple_detector(state: StateVector, detector_init: StateVector, u: UnitaryOperator, targets):
+    """Append a detector in `detector_init` and evolve `targets` of the combined system by `u`."""
+    return apply_unitary(tensor(state, detector_init), u, targets)
+
+
+COVERAGE_TOL = 1e-6
+
+
+def bin_probability(model, array, d: str, n: int, rule: str = "intensity", points_per_bin: int = 256):
+    """Detection value of outcome-d's screen wavefunction in 1-based bin n.
+
+    `intensity` integrates |psi_d|^2 over the bin; `amplitude` is the squared
+    modulus of the integrated amplitude.
+    """
+    array.edges(n)  # range check
+    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
+    psi = screen_amplitude(model, d, nodes)
+    return float(_bin_values(psi, weights, bin_index, array.n_bins, rule)[n - 1])
+
+
+def coverage(model, array, labels=("1", "2", "+", "-", "+i", "-i"), points_per_bin: int = 256) -> float:
+    """Smallest total detection probability over the array among the labels."""
+    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
+    totals = []
+    for d in labels:
+        psi = screen_amplitude(model, d, nodes)
+        totals.append(float(np.sum(_bin_values(psi, weights, bin_index, array.n_bins, "intensity"))))
+    return min(totals)

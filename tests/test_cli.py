@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasure_lab.cli import (
+    _CLI_KEYS,
+    _ERASURE_KEYS,
+    COMMANDS,
     ConfigError,
     config_hash,
     config_to_json,
@@ -14,6 +19,16 @@ from erasure_lab.cli import (
     main,
     parse_config,
 )
+
+FLOAT_KEYS = ("envelope_width", "phase_gradient", "bin_width", "span", "tolerance")
+
+# Arbitrary JSON values, NaN and infinities and unbounded integers included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_DOCS = st.dictionaries(st.sampled_from(_CLI_KEYS + _ERASURE_KEYS), st.sampled_from(COMMANDS) | JSON_VALUES)
 
 
 def run_cli(args):
@@ -54,6 +69,28 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"tolerance": "abc"}, "tolerance must be a finite number"),
+            ({"tolerance": [1e-9]}, "tolerance must be a finite number"),
+            ({"n_bins": True, "bin_width": 8.0}, "n_bins must be an integer"),
+            ({"quadrature_points": True}, "quadrature_points must be an integer"),
+        ],
+        ids=["tolerance-text", "tolerance-list", "n_bins-bool", "quadrature_points-bool"],
+    )
+    def test_wrong_types_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"command": "verify", **doc}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_DOCS)
+    def test_any_document_parses_or_raises_config_error(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError:
+            pass
 
     def test_round_trip_is_stable(self):
         text = '{"command": "verify", "n_bins": 4, "bin_width": 2.0, "basis": "pmi"}'
@@ -138,6 +175,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"command": "verify", "slit_sep": 1.0}')
         assert run_cli(["verify", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_is_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"command": "verify", "{key}": {value}}}')
+        assert run_cli(["verify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_is_3(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "missing.json")]) == 3

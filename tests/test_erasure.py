@@ -10,14 +10,14 @@ from erasure_lab import (
     ErasureConfig,
     ProbabilityTable,
     SlitModel,
-    bin_probability,
     fringe_visibility,
     run_delayed_choice,
     run_simple_erasure,
     screen_amplitude,
     verify_equality,
 )
-from erasure_lab.erasure import COVERAGE_TOL, coverage, quadrature_grid
+from erasure_lab.erasure import quadrature_grid
+from helpers import COVERAGE_TOL, bin_probability, coverage
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -83,10 +83,6 @@ class TestSlitModel:
         overlap = np.sum(weights * np.conj(model.slit_amplitude(1, nodes)) * model.slit_amplitude(2, nodes))
         assert abs(overlap) < 1e-12
 
-    def test_from_geometry_phase_gradient(self):
-        m = SlitModel.from_geometry(slit_separation=2.0, wavenumber=6.0, screen_distance=4.0)
-        assert m.phase_gradient == pytest.approx(1.5)
-
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             SlitModel(envelope_width=0.0)
@@ -115,7 +111,7 @@ class TestScreenAmplitude:
 
 class TestBinProbability:
     @pytest.mark.parametrize("rule", ["intensity", "amplitude"])
-    @pytest.mark.parametrize("label", ["1", "+", "-", "+i"])
+    @pytest.mark.parametrize("label", ["1", "2", "+", "-", "+i", "-i"])
     def test_matches_analytic_oracle(self, model, array, rule, label):
         for n in (1, 5, 8, 9, 16):
             lo, hi = array.edges(n)

@@ -9,8 +9,6 @@ from erasure_lab import (
     Branch,
     apply_unitary,
     basis_state,
-    controlled_shift_unitary,
-    couple_detector,
     couple_shift_register,
     cut_compare,
     distant_measure,
@@ -21,10 +19,15 @@ from erasure_lab import (
     schmidt_decompose,
     state_vector,
     tensor,
+)
+from erasure_lab.measurement import branches_from_outcomes
+from helpers import (
+    controlled_shift_unitary,
+    couple_detector,
+    ensemble_density,
+    random_state,
     which_way_marker,
 )
-from erasure_lab.measurement import branches_from_outcomes, ensemble_density
-from helpers import random_state
 
 SQRT_HALF = math.sqrt(0.5)
 

@@ -27,7 +27,6 @@ from .erasure import (
     verify_equality,
 )
 from .measurement import (
-    Branch,
     CutComparison,
     MeasurementOutcome,
     balanced_pair,
@@ -46,7 +45,6 @@ from .schmidt import (
 )
 from .states import (
     DensityOperator,
-    HilbertShape,
     StateVector,
     UnitaryOperator,
     apply_unitary,
@@ -61,7 +59,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "CoherenceBasisParams",
     "CorrelationOperator",
     "CutComparison",
@@ -69,7 +66,6 @@ __all__ = [
     "DetectorArray",
     "EqualityReport",
     "ErasureConfig",
-    "HilbertShape",
     "MeasurementOutcome",
     "ProbabilityTable",
     "SchmidtDecomposition",

@@ -4,8 +4,8 @@ Usage: erasure-lab <command> [--config PATH] [--out DIR] [--tolerance FLOAT]
 
 Commands: schmidt, search-bases, erasure simple|delayed|whichway, verify,
 cut-demo.  Exit codes: 0 success, 1 verification failure, 2 config error,
-3 I/O error.  Output is deterministic: the same config always produces
-byte-identical files.
+3 I/O error, 4 internal or resource error.  Output is deterministic: the
+same config always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, erasure, measurement, schmidt, states
-
-COMMANDS = (
-    "schmidt",
-    "search-bases",
-    "erasure simple",
-    "erasure delayed",
-    "erasure whichway",
-    "verify",
-    "cut-demo",
-)
 
 _CLI_KEYS = ("command", "output_path", "tolerance")
 _ERASURE_KEYS = tuple(f.name for f in dataclasses.fields(erasure.ErasureConfig))
@@ -58,8 +48,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ConfigError("tolerance must be positive and finite")
+        if not (isinstance(self.output_path, str) and self.output_path):
+            raise ConfigError("output_path must be a non-empty string")
+        try:
+            tolerance = erasure.positive_number("tolerance", self.tolerance, float)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "tolerance", tolerance)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self.erasure)
@@ -88,7 +83,6 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     erasure_kwargs = {k: raw[k] for k in _ERASURE_KEYS if k in raw}
     try:
         erasure_config = erasure.ErasureConfig(**erasure_kwargs)
-        tolerance = erasure.positive_number("tolerance", raw.get("tolerance", DEFAULT_TOLERANCE), float)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -98,8 +92,8 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         command=str(resolved_command),
         erasure=erasure_config,
-        output_path=str(raw.get("output_path", DEFAULT_OUTPUT_PATH)),
-        tolerance=tolerance,
+        output_path=raw.get("output_path", DEFAULT_OUTPUT_PATH),
+        tolerance=raw.get("tolerance", DEFAULT_TOLERANCE),
     )
 
 
@@ -135,6 +129,10 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _report_name(command: str) -> str:
+    return command.replace(" ", "_") + "_report.json"
+
+
 def _write(out_dir: Path, name: str, content: str) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(content)
@@ -166,11 +164,8 @@ def _run_erasure(config: ExperimentConfig, out_dir: Path, pipeline: str):
     cfg = config.erasure
     if pipeline == "whichway":
         cfg = dataclasses.replace(cfg, basis="whichway")
-        table = erasure.run_simple_erasure(cfg)
-    elif pipeline == "simple":
-        table = erasure.run_simple_erasure(cfg)
-    else:
-        table = erasure.run_delayed_choice(cfg)
+    run = erasure.run_delayed_choice if pipeline == "delayed" else erasure.run_simple_erasure
+    table = run(cfg)
     csv_path = _write(out_dir, f"erasure_{pipeline}.csv", table.to_csv())
     lines = [
         f"pipeline: {pipeline}",
@@ -248,8 +243,7 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     evolved = (u_joint.matrix @ kets.T).T
 
     outcomes = measurement.distant_measure(state, (0, 1), list(evolved))
-    branches = measurement.branches_from_outcomes(outcomes)
-    result = measurement.cut_compare(state, (0, 1), branches, compare=(2,))
+    result = measurement.cut_compare(state, (0, 1), outcomes, compare=(2,))
     if not result.branches_complete:
         raise RuntimeError("cut-demo branches unexpectedly incomplete")
     return result.distance
@@ -268,19 +262,22 @@ def _run_cut_demo(config: ExperimentConfig, out_dir: Path):
     return passed, worst, lines, []
 
 
+_RUNNERS = {
+    "schmidt": _run_schmidt,
+    "search-bases": _run_search_bases,
+    "erasure simple": lambda c, d: _run_erasure(c, d, "simple"),
+    "erasure delayed": lambda c, d: _run_erasure(c, d, "delayed"),
+    "erasure whichway": lambda c, d: _run_erasure(c, d, "whichway"),
+    "verify": _run_verify,
+    "cut-demo": _run_cut_demo,
+}
+COMMANDS = tuple(_RUNNERS)
+
+
 def execute(config: ExperimentConfig) -> RunReport:
     """Run the configured command and write its outputs under output_path."""
     out_dir = Path(config.output_path)
-    runners = {
-        "schmidt": _run_schmidt,
-        "search-bases": _run_search_bases,
-        "erasure simple": lambda c, d: _run_erasure(c, d, "simple"),
-        "erasure delayed": lambda c, d: _run_erasure(c, d, "delayed"),
-        "erasure whichway": lambda c, d: _run_erasure(c, d, "whichway"),
-        "verify": _run_verify,
-        "cut-demo": _run_cut_demo,
-    }
-    passed, deviation, lines, files = runners[config.command](config, out_dir)
+    passed, deviation, lines, files = _RUNNERS[config.command](config, out_dir)
     report = RunReport(
         command=config.command,
         config_hash=config_hash(config),
@@ -289,8 +286,7 @@ def execute(config: ExperimentConfig) -> RunReport:
         summary=tuple(lines),
         files=tuple(files),
     )
-    report_name = config.command.replace(" ", "_") + "_report.json"
-    _write(out_dir, report_name, report.to_json())
+    _write(out_dir, _report_name(config.command), report.to_json())
     return report
 
 
@@ -327,13 +323,15 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # internal or resource error, e.g. MemoryError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     print(f"command: {report.command}")
     print(f"config hash: {report.config_hash}")
     for line in report.summary:
         print(line)
-    report_name = config.command.replace(" ", "_") + "_report.json"
-    for name in report.files + (report_name,):
+    for name in report.files + (_report_name(config.command),):
         print(f"wrote {Path(config.output_path) / name}")
     return 0 if report.passed else 1
 

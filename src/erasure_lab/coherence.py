@@ -93,11 +93,8 @@ def exchange_operator(d: int) -> UnitaryOperator:
     """Two-particle exchange |j>|k> -> |k>|j> on a d x d bipartite space."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    mat = np.zeros((d * d, d * d))
-    for j in range(d):
-        for k in range(d):
-            mat[k * d + j, j * d + k] = 1.0
-    return UnitaryOperator(d * d, mat)
+    swapped = np.arange(d * d).reshape(d, d).T.reshape(-1)  # row k*d + j holds j*d + k
+    return UnitaryOperator(d * d, np.eye(d * d)[swapped])
 
 
 def _matches_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:

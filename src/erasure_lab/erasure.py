@@ -33,13 +33,13 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .measurement import balanced_pair, couple_shift_register, distant_measure
 from .schmidt import correlation_operator, schmidt_decompose
-from .states import UnitaryOperator, apply_unitary, state_vector
+from .states import StateVector, UnitaryOperator, apply_unitary, state_vector
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
@@ -310,8 +310,33 @@ class ErasureConfig:
         return DetectorArray(n_bins=self.n_bins, bin_width=self.bin_width)
 
 
-def _table_mode(basis: str, pipeline: str) -> str:
-    return "whichway" if basis == "whichway" else pipeline
+def _measure_marker(
+    config: ErasureConfig,
+    pipeline: str,
+    state: StateVector,
+    marker_unitary: UnitaryOperator | None,
+    readout: Callable[[np.ndarray], np.ndarray],
+) -> ProbabilityTable:
+    """Evolve and measure the marker (subsystem 0); tabulate p(d) * readout(post-state).
+
+    `readout` maps each outcome's conditional amplitudes to its per-bin
+    detection values, so p(d, n) = p(d) * readout_n.  A null outcome (no
+    post-state) gets a zero row.
+    """
+    if marker_unitary is not None:
+        state = apply_unitary(state, marker_unitary, (0,))
+    labels, kets = zip(*_BASIS_KETS[config.basis])
+    outcomes = distant_measure(state, (0,), kets, labels=labels)
+    return ProbabilityTable(
+        mode="whichway" if config.basis == "whichway" else pipeline,
+        labels=labels,
+        centers=config.array().centers,
+        values=np.array([
+            o.probability * readout(o.post_state.amplitudes) if o.post_state else np.zeros(config.n_bins)
+            for o in outcomes
+        ]),
+        born_rule=config.born_rule,
+    )
 
 
 def run_simple_erasure(
@@ -330,27 +355,12 @@ def run_simple_erasure(
     """
     model, array = config.model(), config.array()
     nodes, weights, bin_index = quadrature_grid(array, config.quadrature_points)
-    source = balanced_pair()
-    if marker_unitary is not None:
-        source = apply_unitary(source, marker_unitary, (0,))
-    kets = _BASIS_KETS[config.basis]
-    outcomes = distant_measure(
-        source, (0,), [ket for _, ket in kets], labels=[lbl for lbl, _ in kets]
-    )
-    rows = []
-    for outcome in outcomes:
-        psi = model.wavefunction(outcome.post_state.amplitudes, nodes)
-        rows.append(
-            outcome.probability
-            * _bin_values(psi, weights, bin_index, array.n_bins, config.born_rule)
-        )
-    return ProbabilityTable(
-        mode=_table_mode(config.basis, "simple"),
-        labels=tuple(lbl for lbl, _ in kets),
-        centers=array.centers,
-        values=np.array(rows),
-        born_rule=config.born_rule,
-    )
+
+    def readout(partner: np.ndarray) -> np.ndarray:
+        psi = model.wavefunction(partner, nodes)
+        return _bin_values(psi, weights, bin_index, array.n_bins, config.born_rule)
+
+    return _measure_marker(config, "simple", balanced_pair(), marker_unitary, readout)
 
 
 def run_delayed_choice(
@@ -379,32 +389,17 @@ def run_delayed_choice(
         model.slit_amplitude(2, nodes) * sqrt_w,
     ])
     source = state_vector((modes * _SQRT_HALF).reshape(-1), dims=(2, nodes.size))
-
     coupled = couple_shift_register(source, bin_index, register_dim=array.n_bins + 1)
-    if marker_unitary is not None:
-        coupled = apply_unitary(coupled, marker_unitary, (0,))
 
-    kets = _BASIS_KETS[config.basis]
-    outcomes = distant_measure(
-        coupled, (0,), [ket for _, ket in kets], labels=[lbl for lbl, _ in kets]
-    )
-    rows = []
-    for outcome in outcomes:
-        blocks = outcome.post_state.amplitudes.reshape(nodes.size, array.n_bins + 1)
+    def readout(post: np.ndarray) -> np.ndarray:
+        blocks = post.reshape(nodes.size, array.n_bins + 1)[:, 1:]
         if config.born_rule == "intensity":
-            per_bin = np.sum(np.abs(blocks[:, 1:]) ** 2, axis=0)
-        else:
-            # Integrated amplitude of the bin-n component: undo the sqrt(w)
-            # scaling and apply the quadrature weights.
-            per_bin = np.abs(sqrt_w @ blocks[:, 1:]) ** 2
-        rows.append(outcome.probability * per_bin)
-    return ProbabilityTable(
-        mode=_table_mode(config.basis, "delayed"),
-        labels=tuple(lbl for lbl, _ in kets),
-        centers=array.centers,
-        values=np.array(rows),
-        born_rule=config.born_rule,
-    )
+            return np.sum(np.abs(blocks) ** 2, axis=0)
+        # Integrated amplitude of the bin-n component: undo the sqrt(w)
+        # scaling and apply the quadrature weights.
+        return np.abs(sqrt_w @ blocks) ** 2
+
+    return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ detector register relocates that correlation onto the enlarged system
 without changing the Schmidt structure seen from the untouched side.
 
 Measurement here is selective and ideal (von Neumann); a non-selective
-measurement is represented as a list of weighted branches.
+measurement is represented by its full outcome list, each outcome weighted
+by its probability.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .schmidt import VectorLike, _as_vector, require_orthonormal
-from .states import (
-    HilbertShape,
-    StateVector,
-    coefficient_matrix,
-    partial_trace,
-    trace_norm_distance,
-)
+from .states import StateVector, _partition, coefficient_matrix, partial_trace, trace_norm_distance
 
 COMPLETENESS_TOL = 1e-10
 NULL_OUTCOME_TOL = 1e-14
@@ -43,22 +38,14 @@ class MeasurementOutcome:
     probability: float
     post_state: StateVector | None
 
-
-@dataclass(frozen=True, eq=False)
-class Branch:
-    """One term of a non-selective measurement record."""
-
-    weight: float
-    state: StateVector
-
     def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0 + 1e-12:
-            raise ValueError(f"branch weight {self.weight} outside [0, 1]")
+        if not 0.0 <= self.probability <= 1.0 + 1e-12:
+            raise ValueError(f"outcome probability {self.probability} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class CutComparison:
-    """Trace-norm distance between the traced-out state and a branch ensemble."""
+    """Trace-norm distance between the traced-out state and an outcome ensemble."""
 
     distance: float
     branches_complete: bool
@@ -80,7 +67,7 @@ def mark_which_way(alpha: complex, beta: complex) -> StateVector:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = alpha
     amps[3] = beta
-    return StateVector(HilbertShape((2, 2)), amps)
+    return StateVector((2, 2), amps)
 
 
 def balanced_pair() -> StateVector:
@@ -102,7 +89,7 @@ def distant_measure(
     (probabilities must sum to 1).
     """
     psi = coefficient_matrix(state, split)
-    rest_dims = tuple(state.dims[i] for i in state.shape.complement(split))
+    rest_dims = tuple(state.dims[i] for i in _partition(state.dims, split)[1])
     d_meas = psi.shape[0]
 
     vectors = np.array([_as_vector(b) for b in basis])
@@ -130,7 +117,7 @@ def distant_measure(
         if p <= NULL_OUTCOME_TOL:
             outcomes.append(MeasurementOutcome(str(labels[k]), p, None))
         else:
-            post = StateVector(HilbertShape(rest_dims), projections[k] / np.sqrt(p))
+            post = StateVector(rest_dims, projections[k] / np.sqrt(p))
             outcomes.append(MeasurementOutcome(str(labels[k]), p, post))
     return outcomes
 
@@ -153,26 +140,26 @@ def couple_shift_register(
     amp = state.amplitudes.reshape(-1, d_ctrl)
     out = np.zeros((amp.shape[0], d_ctrl, register_dim), dtype=np.complex128)
     out[:, np.arange(d_ctrl), shifts] = amp
-    return StateVector(HilbertShape(state.dims + (register_dim,)), out.reshape(-1))
+    return StateVector(state.dims + (register_dim,), out.reshape(-1))
 
 
 def cut_compare(
     global_state: StateVector,
     split: Sequence[int],
-    branches: Sequence[Branch],
+    outcomes: Sequence[MeasurementOutcome],
     compare: Sequence[int] | None = None,
 ) -> CutComparison:
-    """Ignorance mixture of measurement branches vs the traced-out global state.
+    """Ignorance mixture of measurement outcomes vs the traced-out global state.
 
-    `split` names the measured subsystems (branch states live on the
-    complement); `compare` names the global subsystems on which the two
-    descriptions are compared, defaulting to the whole complement.  When
-    the branch set is complete the two are the same operator and the
-    distance vanishes; an incomplete branch set is flagged and the (large)
-    distance returned as a diagnostic.
+    `split` names the measured subsystems (post-measurement states live on
+    the complement); `compare` names the global subsystems on which the two
+    descriptions are compared, defaulting to the whole complement.  Outcomes
+    without a post-state carry no weight and are skipped.  When the outcome
+    set is complete the two are the same operator and the distance
+    vanishes; an incomplete set is flagged and the (large) distance returned
+    as a diagnostic.
     """
-    split = global_state.shape.validate_subsystems(split)
-    rest = global_state.shape.complement(split)
+    split, rest = _partition(global_state.dims, split)
     compare = tuple(compare) if compare is not None else rest
     for i in compare:
         if i not in rest:
@@ -181,27 +168,17 @@ def cut_compare(
     improper = partial_trace(global_state, compare)
 
     local = tuple(rest.index(i) for i in compare)
-    total_weight = float(sum(b.weight for b in branches))
+    realized = [o for o in outcomes if o.post_state is not None]
     mixture = np.zeros((improper.dim, improper.dim), dtype=np.complex128)
-    for branch in branches:
-        if branch.state.dims != tuple(global_state.dims[i] for i in rest):
-            raise ValueError("branch state dimensions do not match the unmeasured remainder")
+    for outcome in realized:
+        if outcome.post_state.dims != tuple(global_state.dims[i] for i in rest):
+            raise ValueError("outcome state dimensions do not match the unmeasured remainder")
         if len(local) == len(rest):
-            reduced = branch.state.density_matrix()
+            reduced = outcome.post_state.density_matrix()
         else:
-            reduced = partial_trace(branch.state, local).matrix
-        mixture = mixture + branch.weight * reduced
+            reduced = partial_trace(outcome.post_state, local).matrix
+        mixture = mixture + outcome.probability * reduced
 
     distance = trace_norm_distance(improper.matrix, mixture)
-    complete = abs(total_weight - 1.0) <= COMPLETENESS_TOL
+    complete = abs(sum(o.probability for o in realized) - 1.0) <= COMPLETENESS_TOL
     return CutComparison(distance=distance, branches_complete=complete)
-
-
-def branches_from_outcomes(outcomes: Sequence[MeasurementOutcome]) -> list[Branch]:
-    """Non-selective record of a measurement: one branch per realized outcome."""
-    return [
-        Branch(weight=o.probability, state=o.post_state)
-        for o in outcomes
-        if o.post_state is not None
-    ]
-

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .states import HilbertShape, StateVector, coefficient_matrix
+from .states import StateVector, coefficient_matrix
 
 SCHMIDT_CUTOFF = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -116,10 +116,7 @@ class SchmidtDecomposition:
 
     def reconstruct(self) -> StateVector:
         """The expanded state on the (left, right) ordered bipartite space."""
-        return StateVector(
-            HilbertShape((self.dim_left, self.dim_right)),
-            self.matrix().reshape(-1),
-        )
+        return StateVector((self.dim_left, self.dim_right), self.matrix().reshape(-1))
 
 
 def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomposition:

@@ -11,6 +11,7 @@ function; complex numbers are 64-bit per component throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,74 +32,42 @@ def _readonly(values, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HilbertShape:
-    """Ordered subsystem dimensions of a composite Hilbert space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ValueError("HilbertShape needs at least one subsystem")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
-    def subset_dim(self, subsystems: Sequence[int]) -> int:
-        return int(np.prod([self.dims[i] for i in subsystems]))
-
-    def complement(self, subsystems: Sequence[int]) -> tuple[int, ...]:
-        """Subsystem indices not listed in `subsystems`, ascending."""
-        chosen = set(self.validate_subsystems(subsystems))
-        return tuple(i for i in range(len(self.dims)) if i not in chosen)
-
-    def validate_subsystems(self, subsystems: Sequence[int]) -> tuple[int, ...]:
-        subsystems = tuple(int(i) for i in subsystems)
-        if len(set(subsystems)) != len(subsystems):
-            raise ValueError(f"duplicate subsystem indices in {subsystems}")
-        for i in subsystems:
-            if not 0 <= i < len(self.dims):
-                raise ValueError(
-                    f"subsystem index {i} out of range for {len(self.dims)} subsystems"
-                )
-        return subsystems
+def _partition(dims: tuple[int, ...], subsystems: Sequence[int]):
+    """The validated `subsystems` of a space with `dims`, and the other indices ascending."""
+    subsystems = tuple(int(i) for i in subsystems)
+    if len(set(subsystems)) != len(subsystems):
+        raise ValueError(f"duplicate subsystem indices in {subsystems}")
+    for i in subsystems:
+        if not 0 <= i < len(dims):
+            raise ValueError(f"subsystem index {i} out of range for {len(dims)} subsystems")
+    return subsystems, tuple(i for i in range(len(dims)) if i not in subsystems)
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of a composite system.
 
-    `amplitudes` is flat, length ``shape.total_dim``, row-major over the
-    subsystem multi-index.
+    `dims` are the ordered subsystem dimensions; `amplitudes` is flat, of
+    length prod(dims), row-major over the subsystem multi-index.
     """
 
-    shape: HilbertShape
+    dims: tuple[int, ...]
     amplitudes: np.ndarray
-    tolerance: float = NORM_TOL
 
     def __post_init__(self):
+        dims = tuple(self.dims)
+        if not dims or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+            raise ValueError(f"need at least one subsystem, each of dimension >= 1; got {dims}")
+        dims = tuple(int(d) for d in dims)
         amps = _readonly(self.amplitudes)
-        if amps.ndim != 1 or amps.size != self.shape.total_dim:
-            raise ValueError(
-                f"expected {self.shape.total_dim} amplitudes, got array of shape {amps.shape}"
-            )
+        total = math.prod(dims)
+        if amps.ndim != 1 or amps.size != total:
+            raise ValueError(f"expected {total} amplitudes, got array of shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= self.tolerance:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond tolerance")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape.dims
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem."""
@@ -156,7 +125,7 @@ def state_vector(amplitudes, dims: Sequence[int] | None = None) -> StateVector:
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if dims is None:
         dims = (amps.size,)
-    return StateVector(HilbertShape(tuple(dims)), amps)
+    return StateVector(tuple(dims), amps)
 
 
 def basis_state(dims: Sequence[int], indices: Sequence[int]) -> StateVector:
@@ -167,15 +136,12 @@ def basis_state(dims: Sequence[int], indices: Sequence[int]) -> StateVector:
         raise ValueError("need one basis index per subsystem")
     amps = np.zeros(int(np.prod(dims)), dtype=np.complex128)
     amps[int(np.ravel_multi_index(indices, dims))] = 1.0
-    return StateVector(HilbertShape(dims), amps)
+    return StateVector(dims, amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the result's shape is the concatenation of inputs'."""
-    return StateVector(
-        HilbertShape(a.dims + b.dims),
-        np.kron(a.amplitudes, b.amplitudes),
-    )
+    return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_unitary(state: StateVector, u: UnitaryOperator, targets: Sequence[int]) -> StateVector:
@@ -184,7 +150,7 @@ def apply_unitary(state: StateVector, u: UnitaryOperator, targets: Sequence[int]
     `targets` is ordered: the row/column multi-index of `u` runs over the
     target dimensions in the given order.
     """
-    targets = state.shape.validate_subsystems(targets)
+    targets, _ = _partition(state.dims, targets)
     if not targets:
         raise ValueError("apply_unitary needs at least one target subsystem")
     target_dims = [state.dims[t] for t in targets]
@@ -197,16 +163,15 @@ def apply_unitary(state: StateVector, u: UnitaryOperator, targets: Sequence[int]
     u_tensor = u.matrix.reshape(target_dims + target_dims)
     out = np.tensordot(u_tensor, psi, axes=(tuple(range(k, 2 * k)), targets))
     out = np.moveaxis(out, range(k), targets)
-    return StateVector(state.shape, out.reshape(-1), tolerance=state.tolerance)
+    return StateVector(state.dims, out.reshape(-1))
 
 
 def coefficient_matrix(state: StateVector, split: Sequence[int]) -> np.ndarray:
     """State amplitudes as a (dim_split x dim_rest) matrix under the bipartition."""
-    split = state.shape.validate_subsystems(split)
-    if not split or len(split) == state.shape.n_subsystems:
+    split, rest = _partition(state.dims, split)
+    if not split or not rest:
         raise ValueError("split must be a nonempty proper subset of the subsystems")
-    rest = state.shape.complement(split)
-    d_split = state.shape.subset_dim(split)
+    d_split = math.prod(state.dims[i] for i in split)
     return state.tensor_view().transpose(split + rest).reshape(d_split, -1)
 
 

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import string
+from functools import lru_cache
 
 import numpy as np
 
-from erasure_lab import HilbertShape, StateVector, UnitaryOperator, apply_unitary, screen_amplitude, tensor
-from erasure_lab.erasure import _bin_values, quadrature_grid
+from erasure_lab import StateVector, UnitaryOperator, apply_unitary, screen_amplitude, tensor
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
     n = int(np.prod(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return StateVector(HilbertShape(tuple(dims)), v / np.linalg.norm(v))
+    return StateVector(tuple(dims), v / np.linalg.norm(v))
 
 
 def reduced_density_oracle(state: StateVector, keep_axis: int) -> np.ndarray:
@@ -51,7 +51,7 @@ def partial_trace_oracle(rho: np.ndarray, dims, keep) -> np.ndarray:
 def ensemble_density(outcomes) -> np.ndarray:
     """Weighted mixture sum_k p_k |post_k><post_k| over the realized outcomes."""
     realized = [o for o in outcomes if o.post_state is not None]
-    dim = realized[0].post_state.shape.total_dim
+    dim = realized[0].post_state.amplitudes.size
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for o in realized:
         rho += o.probability * o.post_state.density_matrix()
@@ -84,23 +84,33 @@ def couple_detector(state: StateVector, detector_init: StateVector, u: UnitaryOp
 COVERAGE_TOL = 1e-6
 
 
+@lru_cache(maxsize=4)
+def _legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(points)
+
+
 def bin_probability(model, array, d: str, n: int, rule: str = "intensity", points_per_bin: int = 256):
     """Detection value of outcome-d's screen wavefunction in 1-based bin n.
 
     `intensity` integrates |psi_d|^2 over the bin; `amplitude` is the squared
-    modulus of the integrated amplitude.
+    modulus of the integrated amplitude.  The bin is integrated on its own
+    Gauss-Legendre nodes mapped onto `array.edges(n)`, independently of the
+    library's quadrature grid and binning.
     """
-    array.edges(n)  # range check
-    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
-    psi = screen_amplitude(model, d, nodes)
-    return float(_bin_values(psi, weights, bin_index, array.n_bins, rule)[n - 1])
+    lo, hi = array.edges(n)
+    x, w = _legendre(points_per_bin)
+    half = (hi - lo) / 2.0
+    psi = screen_amplitude(model, d, (lo + hi) / 2.0 + half * x)
+    if rule == "intensity":
+        return float(half * np.sum(w * np.abs(psi) ** 2))
+    if rule == "amplitude":
+        return float(abs(half * np.sum(w * psi)) ** 2)
+    raise ValueError(f"unknown Born rule {rule!r}")
 
 
 def coverage(model, array, labels=("1", "2", "+", "-", "+i", "-i"), points_per_bin: int = 256) -> float:
     """Smallest total detection probability over the array among the labels."""
-    nodes, weights, bin_index = quadrature_grid(array, points_per_bin)
-    totals = []
-    for d in labels:
-        psi = screen_amplitude(model, d, nodes)
-        totals.append(float(np.sum(_bin_values(psi, weights, bin_index, array.n_bins, "intensity"))))
-    return min(totals)
+    return min(
+        sum(bin_probability(model, array, d, n, points_per_bin=points_per_bin) for n in range(1, array.n_bins + 1))
+        for d in labels
+    )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erasure_lab import erasure
 from erasure_lab.cli import (
     _CLI_KEYS,
     _ERASURE_KEYS,
@@ -77,8 +78,21 @@ class TestParseConfig:
             ({"tolerance": [1e-9]}, "tolerance must be a finite number"),
             ({"n_bins": True, "bin_width": 8.0}, "n_bins must be an integer"),
             ({"quadrature_points": True}, "quadrature_points must be an integer"),
+            ({"output_path": None}, "output_path must be a non-empty string"),
+            ({"output_path": {"a": 1}}, "output_path must be a non-empty string"),
+            ({"output_path": 3}, "output_path must be a non-empty string"),
+            ({"output_path": ""}, "output_path must be a non-empty string"),
         ],
-        ids=["tolerance-text", "tolerance-list", "n_bins-bool", "quadrature_points-bool"],
+        ids=[
+            "tolerance-text",
+            "tolerance-list",
+            "n_bins-bool",
+            "quadrature_points-bool",
+            "output_path-null",
+            "output_path-object",
+            "output_path-number",
+            "output_path-empty",
+        ],
     )
     def test_wrong_types_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -190,6 +204,21 @@ class TestExitCodes:
 
     def test_missing_command_is_2(self, capsys):
         assert run_cli([]) == 2
+
+    def test_bad_tolerance_flag_is_2(self, tmp_path, capsys):
+        assert run_cli(["verify", "--tolerance", "nan", "--out", str(tmp_path)]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_unexpected_error_is_4(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a register too large to allocate, without allocating one.
+        def exhausted(config, marker_unitary=None):
+            raise MemoryError("register does not fit")
+
+        monkeypatch.setattr(erasure, "run_delayed_choice", exhausted)
+        assert run_cli(["erasure", "delayed", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: register does not fit\n"
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

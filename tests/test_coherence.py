@@ -93,6 +93,14 @@ class TestExchangeOperator:
             e = exchange_operator(d).matrix
             np.testing.assert_allclose(e @ e, np.eye(d * d), atol=1e-14)
 
+    def test_matches_loop_reference(self):
+        for d in (1, 2, 3, 4):
+            reference = np.zeros((d * d, d * d))
+            for j in range(d):
+                for k in range(d):
+                    reference[k * d + j, j * d + k] = 1.0
+            np.testing.assert_array_equal(exchange_operator(d).matrix, reference)
+
 
 class TestClassifySymmetry:
     def test_plus_minus_expansion_is_termwise_symmetric(self, balanced_pair):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasure_lab import (
     DetectorArray,
@@ -11,12 +13,13 @@ from erasure_lab import (
     ProbabilityTable,
     SlitModel,
     fringe_visibility,
+    haar_random_unitary,
     run_delayed_choice,
     run_simple_erasure,
     screen_amplitude,
     verify_equality,
 )
-from erasure_lab.erasure import quadrature_grid
+from erasure_lab.erasure import BASIS_CHOICES, BORN_RULES, quadrature_grid
 from helpers import COVERAGE_TOL, bin_probability, coverage
 
 SQRT_HALF = math.sqrt(0.5)
@@ -219,8 +222,6 @@ class TestDelayedChoice:
     def test_equality_survives_marker_evolution(self):
         # A free marker evolution injected identically into both pipelines
         # changes the table but not the before/after-detection agreement.
-        from erasure_lab import haar_random_unitary
-
         rng = np.random.default_rng(11)
         config = ErasureConfig()
         baseline = run_simple_erasure(config)
@@ -236,6 +237,42 @@ class TestDelayedChoice:
         table = run_delayed_choice(config)
         assert table.entry("+", 1) == pytest.approx(0.5, abs=1e-9)
         assert table.entry("-", 1) == pytest.approx(0.5, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        basis=st.sampled_from(BASIS_CHOICES),
+        born_rule=st.sampled_from(BORN_RULES),
+        kappa_step=st.integers(1, 7),
+        n_bins=st.sampled_from([1, 2, 4, 8, 16]),
+        points=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_simple_erasure_property(self, basis, born_rule, kappa_step, n_bins, points, seed):
+        # kappa * span is a multiple of pi for every drawn kappa (span 8).
+        config = ErasureConfig(
+            phase_gradient=kappa_step * math.pi / 8.0,
+            n_bins=n_bins,
+            bin_width=8.0 / n_bins,
+            span=8.0,
+            basis=basis,
+            born_rule=born_rule,
+            quadrature_points=points,
+        )
+        u = haar_random_unitary(2, np.random.default_rng(seed))
+        report = verify_equality(
+            run_simple_erasure(config, marker_unitary=u),
+            run_delayed_choice(config, marker_unitary=u),
+            tolerance=1e-9,
+        )
+        assert report.passed, f"max deviation {report.max_deviation}"
+
+    def test_null_outcome_gives_zero_row(self):
+        # One node at the origin, where psi_1 = psi_2: the grid state has no
+        # "-" component, so that outcome is null in the delayed route.
+        config = ErasureConfig(n_bins=1, bin_width=8.0, quadrature_points=1)
+        delayed = run_delayed_choice(config)
+        np.testing.assert_allclose(delayed.values, [[1.0], [0.0]], atol=1e-12)
+        assert verify_equality(run_simple_erasure(config), delayed).passed
 
     def test_quadrature_refinement_is_stable(self):
         coarse = run_delayed_choice(ErasureConfig(quadrature_points=256))

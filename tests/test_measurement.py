@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from erasure_lab import (
-    Branch,
+    MeasurementOutcome,
     apply_unitary,
     basis_state,
     couple_shift_register,
@@ -20,7 +20,6 @@ from erasure_lab import (
     state_vector,
     tensor,
 )
-from erasure_lab.measurement import branches_from_outcomes
 from helpers import (
     controlled_shift_unitary,
     couple_detector,
@@ -103,6 +102,12 @@ class TestDistantMeasure:
         assert outcomes[1].probability == 0.0
         assert outcomes[1].post_state is None
         assert len(outcomes) == 2
+
+    def test_outcome_probability_range_enforced(self):
+        for p in (-0.1, 1.0 + 1e-9, float("nan")):
+            with pytest.raises(ValueError, match="probability"):
+                MeasurementOutcome("x", p, None)
+        assert MeasurementOutcome("x", 1.0 + 1e-13, None).probability == 1.0 + 1e-13
 
     def test_incomplete_basis_rejected(self, balanced_pair):
         with pytest.raises(ValueError, match="incomplete"):
@@ -217,7 +222,7 @@ class TestCutCompare:
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
         outcomes = distant_measure(balanced_pair, (0,), [plus, minus])
-        result = cut_compare(balanced_pair, (0,), branches_from_outcomes(outcomes))
+        result = cut_compare(balanced_pair, (0,), outcomes)
         assert result.branches_complete
         assert result.distance < 1e-10
 
@@ -225,7 +230,7 @@ class TestCutCompare:
         phi = random_state(rng, (2,))
         joint = tensor(basis_state((2,), (0,)), phi)
         outcomes = distant_measure(joint, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        result = cut_compare(joint, (0,), branches_from_outcomes(outcomes))
+        result = cut_compare(joint, (0,), outcomes)
         assert result.branches_complete
         assert result.distance == pytest.approx(0.0, abs=1e-14)
 
@@ -233,8 +238,7 @@ class TestCutCompare:
         # Keeping only the first which-way branch: the mixture misses half
         # the weight, and tr|1/2 I - 1/2 |0><0|| = 0.5.
         outcomes = distant_measure(balanced_pair, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        branches = branches_from_outcomes(outcomes)[:1]
-        result = cut_compare(balanced_pair, (0,), branches)
+        result = cut_compare(balanced_pair, (0,), outcomes[:1])
         assert not result.branches_complete
         assert result.distance == pytest.approx(0.5, abs=1e-12)
 
@@ -250,7 +254,7 @@ class TestCutCompare:
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
         outcomes = distant_measure(state, (0,), [plus, minus])
-        result = cut_compare(state, (0,), branches_from_outcomes(outcomes), compare=(1,))
+        result = cut_compare(state, (0,), outcomes, compare=(1,))
         assert result.branches_complete
         assert result.distance < 1e-10
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from erasure_lab import (
     DensityOperator,
-    HilbertShape,
     StateVector,
     UnitaryOperator,
     apply_unitary,
@@ -28,11 +27,13 @@ def rng():
 
 class TestTypes:
     def test_hilbert_shape_validation(self):
-        with pytest.raises(ValueError):
-            HilbertShape((2, 0))
-        with pytest.raises(ValueError):
-            HilbertShape(())
-        assert HilbertShape((2, 3, 4)).total_dim == 24
+        with pytest.raises(ValueError, match="dimension"):
+            StateVector((2, 0), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dimension"):
+            StateVector((), np.array([1.0]))
+        ket = basis_state((2, 3, 4), (1, 2, 3))
+        assert ket.dims == (2, 3, 4)
+        assert ket.amplitudes.size == 24
 
     def test_state_vector_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
@@ -40,7 +41,7 @@ class TestTypes:
 
     def test_state_vector_length_enforced(self):
         with pytest.raises(ValueError):
-            StateVector(HilbertShape((2, 2)), np.array([1.0, 0.0]))
+            StateVector((2, 2), np.array([1.0, 0.0]))
 
     def test_amplitudes_are_readonly(self):
         ket = basis_state((2, 2), (0, 1))
@@ -106,7 +107,7 @@ class TestPartialTrace:
         alpha, beta = 0.6, 0.8
         amps = np.zeros(4, dtype=complex)
         amps[0], amps[3] = alpha, beta
-        state = StateVector(HilbertShape((2, 2)), amps)
+        state = StateVector((2, 2), amps)
         rho = partial_trace(state, keep=(1,))
         np.testing.assert_allclose(rho.matrix, np.diag([alpha**2, beta**2]), atol=1e-15)
         assert rho.matrix[0, 1] == 0.0  # coherence removed exactly
@@ -114,7 +115,7 @@ class TestPartialTrace:
     def test_balanced_pair_maximally_mixed(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = np.sqrt(0.5)
-        rho = partial_trace(StateVector(HilbertShape((2, 2)), amps), keep=(1,))
+        rho = partial_trace(StateVector((2, 2), amps), keep=(1,))
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_is_untouched(self, rng):
@@ -161,7 +162,7 @@ class TestApplyUnitary:
         # Acting on the second subsystem cannot change the first's state.
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = np.sqrt(0.5)
-        state = StateVector(HilbertShape((2, 2)), amps)
+        state = StateVector((2, 2), amps)
         before = partial_trace(state, keep=(0,))
         for _ in range(10):
             u = haar_random_unitary(2, rng)

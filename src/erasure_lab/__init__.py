@@ -51,7 +51,6 @@ from .states import (
     basis_state,
     haar_random_unitary,
     partial_trace,
-    state_vector,
     tensor,
     trace_norm_distance,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "schmidt_decompose",
     "screen_amplitude",
     "search_symmetric_bases",
-    "state_vector",
     "tensor",
     "trace_norm_distance",
     "verify_equality",

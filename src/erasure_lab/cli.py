@@ -152,7 +152,7 @@ def _run_schmidt(config: ExperimentConfig, out_dir: Path):
 
 
 def _run_search_bases(config: ExperimentConfig, out_dir: Path):
-    results = coherence.search_symmetric_bases(_SEARCH_GRID_STEPS, canonical=True)
+    results = coherence.search_symmetric_bases(_SEARCH_GRID_STEPS)
     csv_path = _write(out_dir, "symmetric_bases.csv", coherence.search_results_csv(results))
     lines = [f"grid_steps: {_SEARCH_GRID_STEPS}", f"bases found: {len(results)}"]
     for params, cls in results:
@@ -212,7 +212,7 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     # Readout on (register, marker): shift the register once for outcome +,
     # twice for outcome -, leaving register state 0 to mean "untriggered".
     readout = states.UnitaryOperator(
-        6, np.kron(shift, np.outer(plus, plus.conj())) + np.kron(shift @ shift, np.outer(minus, minus.conj()))
+        np.kron(shift, np.outer(plus, plus.conj())) + np.kron(shift @ shift, np.outer(minus, minus.conj()))
     )
 
     # Subsystem order: (register, marker, screen, idle detector).
@@ -302,10 +302,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text() if args.config else "{}"
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
     except OSError as exc:
         print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
 
     try:
         command = " ".join(args.command) if args.command else None

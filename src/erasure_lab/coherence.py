@@ -19,7 +19,7 @@ import numpy as np
 
 from .measurement import balanced_pair
 from .schmidt import SchmidtDecomposition, reschmidt
-from .states import StateVector, UnitaryOperator, state_vector
+from .states import StateVector, UnitaryOperator
 
 CLASSIFY_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
@@ -36,40 +36,29 @@ class CoherenceBasisParams:
     """Moduli and phases defining a coherence vector and its orthogonal mate.
 
     The first vector is ``e^{i lam} p |1> + e^{i delta} q |2>`` with
-    0 < p, q < 1 and p^2 + q^2 = 1; `gamma` is the free overall phase of the
+    0 < p < 1 and q = sqrt(1 - p^2); `gamma` is the free overall phase of the
     second vector.  Angles are wrapped into [0, 2*pi).
     """
 
     p: float
-    q: float
     lam: float = 0.0
     delta: float = 0.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0 and 0.0 < self.q < 1.0):
-            raise ValueError("p and q must lie strictly between 0 and 1")
-        if abs(self.p**2 + self.q**2 - 1.0) > 1e-12:
-            raise ValueError("p^2 + q^2 must equal 1")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError("p must lie strictly between 0 and 1")
         for name in ("lam", "delta", "gamma"):
             object.__setattr__(self, name, float(getattr(self, name)) % _TWO_PI)
 
+    @property
+    def q(self) -> float:
+        return math.sqrt(1.0 - self.p * self.p)
+
     @classmethod
     def balanced(cls, lam: float = 0.0, delta: float = 0.0, gamma: float = 0.0) -> "CoherenceBasisParams":
-        """Equal-modulus parameters p = q = sqrt(1/2)."""
-        r = math.sqrt(0.5)
-        return cls(p=r, q=r, lam=lam, delta=delta, gamma=gamma)
-
-    def canonical(self) -> "CoherenceBasisParams":
-        """Representative with the first vector's leading component real-positive.
-
-        Multiplying either basis vector by an overall phase leaves the basis
-        physically unchanged; stripping `lam` (and fixing gamma = 0) picks one
-        member of that orbit.
-        """
-        return CoherenceBasisParams(
-            p=self.p, q=self.q, lam=0.0, delta=(self.delta - self.lam) % _TWO_PI, gamma=0.0
-        )
+        """Equal-modulus parameters p = q = sqrt(1/2), to rounding."""
+        return cls(p=math.sqrt(0.5), lam=lam, delta=delta, gamma=gamma)
 
 
 def coherence_pair(params: CoherenceBasisParams) -> tuple[StateVector, StateVector]:
@@ -86,7 +75,7 @@ def coherence_pair(params: CoherenceBasisParams) -> tuple[StateVector, StateVect
             np.exp(1j * (params.gamma + params.delta - params.lam + math.pi)) * params.p,
         ]
     )
-    return state_vector(a), state_vector(b)
+    return StateVector((2,), a), StateVector((2,), b)
 
 
 def exchange_operator(d: int) -> UnitaryOperator:
@@ -94,18 +83,18 @@ def exchange_operator(d: int) -> UnitaryOperator:
     if d < 1:
         raise ValueError("dimension must be positive")
     swapped = np.arange(d * d).reshape(d, d).T.reshape(-1)  # row k*d + j holds j*d + k
-    return UnitaryOperator(d * d, np.eye(d * d)[swapped])
+    return UnitaryOperator(np.eye(d * d)[swapped])
 
 
-def _matches_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """True when u equals e^{i theta} v for some theta, within tol in 2-norm."""
+def _matches_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
+    """True when u equals e^{i theta} v for some theta, within CLASSIFY_TOL in 2-norm."""
     z = np.vdot(v, u)
-    if abs(z) < tol:
-        return bool(np.linalg.norm(u) < tol and np.linalg.norm(v) < tol)
-    return bool(np.linalg.norm(u - (z / abs(z)) * v) <= tol)
+    if abs(z) < CLASSIFY_TOL:
+        return bool(np.linalg.norm(u) < CLASSIFY_TOL and np.linalg.norm(v) < CLASSIFY_TOL)
+    return bool(np.linalg.norm(u - (z / abs(z)) * v) <= CLASSIFY_TOL)
 
 
-def classify_symmetry(dec: SchmidtDecomposition, tol: float = CLASSIFY_TOL) -> SymmetryClass:
+def classify_symmetry(dec: SchmidtDecomposition) -> SymmetryClass:
     """Exchange behaviour of a rank-2 decomposition on a 2x2 space.
 
     A term is mapped to itself (or to the other term) when the exchanged
@@ -116,17 +105,14 @@ def classify_symmetry(dec: SchmidtDecomposition, tol: float = CLASSIFY_TOL) -> S
         raise ValueError("classification requires a rank-2 decomposition on a 2x2 space")
     e = exchange_operator(2).matrix
     t0, t1 = dec.term(0), dec.term(1)
-    if _matches_up_to_phase(e @ t0, t0, tol) and _matches_up_to_phase(e @ t1, t1, tol):
+    if _matches_up_to_phase(e @ t0, t0) and _matches_up_to_phase(e @ t1, t1):
         return SymmetryClass.TERMWISE_SYMMETRIC
-    if _matches_up_to_phase(e @ t0, t1, tol) and _matches_up_to_phase(e @ t1, t0, tol):
+    if _matches_up_to_phase(e @ t0, t1) and _matches_up_to_phase(e @ t1, t0):
         return SymmetryClass.TERM_SWAPPING
     return SymmetryClass.NEITHER
 
 
-def search_symmetric_bases(
-    grid_steps: int,
-    canonical: bool = True,
-) -> list[tuple[CoherenceBasisParams, SymmetryClass]]:
+def search_symmetric_bases(grid_steps: int) -> list[tuple[CoherenceBasisParams, SymmetryClass]]:
     """Grid search for exchange-symmetric coherence expansions of the balanced pair.
 
     Sweeps lam, delta over {2*pi*k/grid_steps} with gamma = 0 and
@@ -135,10 +121,9 @@ def search_symmetric_bases(
     exchange-swapped.
 
     Raw hits fill whole lines delta - lam = const, since an overall phase on a
-    basis vector never changes the expansion terms.  With ``canonical=True``
-    (default) each hit is reduced to its phase-convention representative
-    (lam = 0) and duplicates are dropped, so the returned points are the
-    distinct bases themselves.
+    basis vector never changes the expansion terms.  Each hit is reduced to
+    its phase-convention representative (lam = 0, gamma = 0) and duplicates
+    are dropped, so the returned points are the distinct bases themselves.
     """
     if grid_steps < 8:
         raise ValueError("grid_steps must be at least 8")
@@ -155,18 +140,6 @@ def search_symmetric_bases(
             cls = classify_symmetry(dec)
             if cls is not SymmetryClass.NEITHER:
                 hits.append((k_lam, k_delta, cls))
-
-    if not canonical:
-        return [
-            (
-                CoherenceBasisParams.balanced(
-                    lam=_TWO_PI * k_lam / grid_steps,
-                    delta=_TWO_PI * k_delta / grid_steps,
-                ),
-                cls,
-            )
-            for k_lam, k_delta, cls in hits
-        ]
 
     reduced = {((k_delta - k_lam) % grid_steps, cls) for k_lam, k_delta, cls in hits}
     ordered = sorted(reduced, key=lambda item: (item[1].value, item[0]))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .measurement import balanced_pair, couple_shift_register, distant_measure
 from .schmidt import correlation_operator, schmidt_decompose
-from .states import StateVector, UnitaryOperator, apply_unitary, state_vector
+from .states import StateVector, UnitaryOperator, apply_unitary
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
@@ -67,6 +67,24 @@ _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
 }
 
 
+def positive_number(name: str, raw, kind: type) -> float | int:
+    """`raw` as a positive finite `kind`, or a ValueError naming the field.
+
+    Booleans, NaN, infinities and (for int fields) non-integral values are
+    rejected rather than coerced.
+    """
+    try:
+        value = kind(raw)
+        valid = not isinstance(raw, bool) and math.isfinite(value) and (kind is float or value == raw)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class SlitModel:
     """Far-field two-slit screen amplitudes.
@@ -82,8 +100,7 @@ class SlitModel:
 
     def __post_init__(self):
         for name in ("envelope_width", "phase_gradient"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            object.__setattr__(self, name, positive_number(name, getattr(self, name), float))
 
     @property
     def support_half_width(self) -> float:
@@ -117,10 +134,8 @@ class DetectorArray:
     bin_width: float
 
     def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be positive")
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be positive")
+        object.__setattr__(self, "n_bins", positive_number("n_bins", self.n_bins, int))
+        object.__setattr__(self, "bin_width", positive_number("bin_width", self.bin_width, float))
 
     @property
     def centers(self) -> np.ndarray:
@@ -154,8 +169,7 @@ def quadrature_grid(
     Nodes are strictly interior to their bins, so every grid point belongs to
     exactly one detector.
     """
-    if points_per_bin < 1:
-        raise ValueError("points_per_bin must be positive")
+    points_per_bin = positive_number("points_per_bin", points_per_bin, int)
     base_x, base_w = _gauss_legendre(points_per_bin)
     half = array.bin_width / 2.0
     nodes = (array.centers[:, None] + half * base_x[None, :]).reshape(-1)
@@ -233,6 +247,8 @@ class ProbabilityTable:
 
     def entry(self, d: str, n: int) -> float:
         """p(d, n) with 1-based bin index n."""
+        if not 1 <= n <= self.n_bins:
+            raise ValueError(f"bin index {n} out of range 1..{self.n_bins}")
         return float(self.values[self.labels.index(d), n - 1])
 
     def row(self, d: str) -> np.ndarray:
@@ -256,24 +272,6 @@ class ProbabilityTable:
                     f"{self.mode},{d},{n},{self.centers[n - 1]:.17g},{self.values[i, n - 1]:.17g}\n"
                 )
         return out.getvalue()
-
-
-def positive_number(name: str, raw, kind: type) -> float | int:
-    """`raw` as a positive finite `kind`, or a ValueError naming the field.
-
-    Booleans, NaN, infinities and (for int fields) non-integral values are
-    rejected rather than coerced.
-    """
-    try:
-        value = kind(raw)
-        valid = not isinstance(raw, bool) and math.isfinite(value) and (kind is float or value == raw)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ def run_delayed_choice(
         model.slit_amplitude(1, nodes) * sqrt_w,
         model.slit_amplitude(2, nodes) * sqrt_w,
     ])
-    source = state_vector((modes * _SQRT_HALF).reshape(-1), dims=(2, nodes.size))
+    source = StateVector((2, nodes.size), (modes * _SQRT_HALF).reshape(-1))
     coupled = couple_shift_register(source, bin_index, register_dim=array.n_bins + 1)
 
     def readout(post: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def distant_measure(
     probabilities = np.einsum("kr,kr->k", projections, projections.conj()).real
 
     total = float(np.sum(probabilities))
-    if total < 1.0 - COMPLETENESS_TOL:
+    if not total >= 1.0 - COMPLETENESS_TOL:
         raise ValueError(
             f"measurement basis is incomplete on the state's support "
             f"(probabilities sum to {total!r})"
@@ -167,17 +167,16 @@ def cut_compare(
 
     improper = partial_trace(global_state, compare)
 
+    # Post-state axes in `compare` order, then the (possibly empty) rest.
     local = tuple(rest.index(i) for i in compare)
+    axes = local + tuple(k for k in range(len(rest)) if k not in local)
     realized = [o for o in outcomes if o.post_state is not None]
     mixture = np.zeros((improper.dim, improper.dim), dtype=np.complex128)
     for outcome in realized:
         if outcome.post_state.dims != tuple(global_state.dims[i] for i in rest):
             raise ValueError("outcome state dimensions do not match the unmeasured remainder")
-        if len(local) == len(rest):
-            reduced = outcome.post_state.density_matrix()
-        else:
-            reduced = partial_trace(outcome.post_state, local).matrix
-        mixture = mixture + outcome.probability * reduced
+        psi = outcome.post_state.tensor_view().transpose(axes).reshape(improper.dim, -1)
+        mixture = mixture + outcome.probability * (psi @ psi.conj().T)
 
     distance = trace_norm_distance(improper.matrix, mixture)
     complete = abs(sum(o.probability for o in realized) - 1.0) <= COMPLETENESS_TOL

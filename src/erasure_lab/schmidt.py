@@ -80,9 +80,9 @@ class SchmidtDecomposition:
             raise ValueError("expected 1-D coefficients and 2-D basis arrays")
         if not (len(coeffs) == len(left) == len(right)):
             raise ValueError("coefficients and bases must have one entry per term")
-        if np.any(coeffs <= 0):
+        if not np.all(coeffs > 0):
             raise ValueError("Schmidt coefficients must be strictly positive")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-8:
+        if not abs(float(np.sum(coeffs**2)) - 1.0) <= 1e-8:
             raise ValueError("squared coefficients must sum to 1")
         for arr in (coeffs, left, right):
             arr.setflags(write=False)
@@ -135,15 +135,14 @@ def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomp
         left[k], right[k] = _fix_phase(left[k], right[k])
     dec = SchmidtDecomposition(s, left, right)
     error = np.linalg.norm(dec.matrix() - matrix)
-    if error > RECONSTRUCTION_TOL:
+    if not error <= RECONSTRUCTION_TOL:
         raise ValueError(f"decomposition failed to reconstruct the state (error {error:.3e})")
     return dec
 
 
-def is_epr_type(dec: SchmidtDecomposition, degeneracy_tol: float = DEGENERACY_TOL) -> bool:
-    """True when two retained squared coefficients agree within `degeneracy_tol`."""
-    r = np.sort(dec.weights())
-    return bool(np.any(np.diff(r) <= degeneracy_tol)) if dec.rank >= 2 else False
+def is_epr_type(dec: SchmidtDecomposition) -> bool:
+    """True when two retained squared coefficients agree within DEGENERACY_TOL."""
+    return bool(np.any(np.diff(np.sort(dec.weights())) <= DEGENERACY_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +200,7 @@ def reschmidt(
 
     partners = basis.conj() @ matrix
     coeffs = np.linalg.norm(partners, axis=1)
-    if np.any(coeffs <= SCHMIDT_CUTOFF):
+    if not np.all(coeffs > SCHMIDT_CUTOFF):
         raise ValueError(
             "a basis vector lies outside the state's correlated support; "
             "no positive-coefficient term exists for it"
@@ -209,14 +208,14 @@ def reschmidt(
     partners = partners / coeffs[:, None]
     overlap = partners.conj() @ partners.T
     off_diag = np.max(np.abs(overlap - np.eye(len(basis))))
-    if off_diag > BIORTHOGONALITY_TOL:
+    if not off_diag <= BIORTHOGONALITY_TOL:
         raise ValueError(
             "expansion in the requested basis is not biorthogonal "
             f"(partner overlap {off_diag:.3e}); the state is not degenerate "
             "on the span of basis_left"
         )
     residual = np.linalg.norm((basis.T * coeffs) @ partners - matrix)
-    if residual > RECONSTRUCTION_TOL:
+    if not residual <= RECONSTRUCTION_TOL:
         raise ValueError(
             f"basis_left does not span the state's correlated support (residual {residual:.3e})"
         )

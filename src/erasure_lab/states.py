@@ -80,17 +80,22 @@ class StateVector:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
 
+def _square(matrix) -> np.ndarray:
+    """`matrix` as a read-only complex array, rejected unless 2-D and square."""
+    mat = _readonly(matrix)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator."""
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _readonly(self.matrix)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
+        mat = _square(self.matrix)
         if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
@@ -100,6 +105,10 @@ class DensityOperator:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "matrix", mat)
 
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in ascending order."""
         return np.linalg.eigvalsh(self.matrix)
@@ -107,25 +116,18 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _readonly(self.matrix)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
-        defect = np.linalg.norm(mat.conj().T @ mat - np.eye(self.dim))
+        mat = _square(self.matrix)
+        defect = np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat)))
         if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (Frobenius defect {defect:.3e})")
         object.__setattr__(self, "matrix", mat)
 
-
-def state_vector(amplitudes, dims: Sequence[int] | None = None) -> StateVector:
-    """Build a StateVector; `dims` defaults to a single subsystem."""
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if dims is None:
-        dims = (amps.size,)
-    return StateVector(tuple(dims), amps)
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
 
 def basis_state(dims: Sequence[int], indices: Sequence[int]) -> StateVector:
@@ -178,7 +180,7 @@ def coefficient_matrix(state: StateVector, split: Sequence[int]) -> np.ndarray:
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
     """Reduced density operator on the `keep` subsystems (in the given order)."""
     psi = coefficient_matrix(state, keep)
-    return DensityOperator(psi.shape[0], psi @ psi.conj().T)
+    return DensityOperator(psi @ psi.conj().T)
 
 
 def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -193,4 +195,4 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return UnitaryOperator(dim, q * phases)
+    return UnitaryOperator(q * phases)

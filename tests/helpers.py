@@ -68,7 +68,7 @@ def controlled_shift_unitary(control_dim: int, register_dim: int, shifts) -> Uni
     for j in range(control_dim):
         for m in range(register_dim):
             mat[j * register_dim + (m + shifts[j]) % register_dim, j * register_dim + m] = 1.0
-    return UnitaryOperator(dim, mat)
+    return UnitaryOperator(mat)
 
 
 def which_way_marker(dim: int) -> UnitaryOperator:

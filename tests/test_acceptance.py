@@ -91,7 +91,6 @@ def test_criterion_3_epr_redecomposition():
         p = rng.uniform(0.1, 0.9)
         params = CoherenceBasisParams(
             p=p,
-            q=math.sqrt(1.0 - p * p),
             lam=rng.uniform(0, 2 * math.pi),
             delta=rng.uniform(0, 2 * math.pi),
             gamma=rng.uniform(0, 2 * math.pi),

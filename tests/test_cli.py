@@ -1,11 +1,13 @@
 """Config parsing, command dispatch, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erasure_lab import erasure
@@ -198,6 +200,25 @@ class TestExitCodes:
         assert run_cli(["verify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_undecodable_config_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert run_cli(["verify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not valid UTF-8")
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(max_size=48))
+    @example(b"\xff\xfe{")
+    def test_any_config_bytes_exit_cleanly(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("config_bytes")
+        (work / "config.json").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["verify", "--config", str(work / "config.json"), "--out", str(work / "out")])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
     def test_unreadable_config_is_3(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "missing.json")]) == 3

@@ -19,7 +19,7 @@ from erasure_lab import (
     reschmidt,
     schmidt_decompose,
     search_symmetric_bases,
-    state_vector,
+    StateVector,
 )
 from erasure_lab.coherence import search_results_csv
 
@@ -30,6 +30,21 @@ TWO_PI = 2 * math.pi
 @pytest.fixture
 def balanced_pair():
     return mark_which_way(SQRT_HALF, SQRT_HALF)
+
+
+def raw_grid_hits(grid_steps):
+    """Every (lam, delta) grid point whose expansion is not NEITHER, before any phase reduction."""
+    pair = mark_which_way(SQRT_HALF, SQRT_HALF)
+    hits = []
+    for k_lam in range(grid_steps):
+        for k_delta in range(grid_steps):
+            params = CoherenceBasisParams.balanced(
+                lam=TWO_PI * k_lam / grid_steps, delta=TWO_PI * k_delta / grid_steps
+            )
+            cls = classify_symmetry(reschmidt(pair, (0,), list(coherence_pair(params))))
+            if cls is not SymmetryClass.NEITHER:
+                hits.append((params, cls))
+    return hits
 
 
 class TestCoherencePair:
@@ -51,25 +66,21 @@ class TestCoherencePair:
         gamma=st.floats(0, TWO_PI, exclude_max=True),
     )
     def test_pair_is_orthonormal(self, p, lam, delta, gamma):
-        params = CoherenceBasisParams(
-            p=p, q=math.sqrt(1 - p * p), lam=lam, delta=delta, gamma=gamma
-        )
+        params = CoherenceBasisParams(p=p, lam=lam, delta=delta, gamma=gamma)
         a, b = coherence_pair(params)
         assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
         assert abs(np.linalg.norm(b.amplitudes) - 1) < 1e-12
         assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="p\\^2"):
-            CoherenceBasisParams(p=0.5, q=0.5)
-        with pytest.raises(ValueError, match="between"):
-            CoherenceBasisParams(p=1.0, q=0.0)
+        for p in (1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="between"):
+                CoherenceBasisParams(p=p)
 
-    def test_canonical_strips_overall_phase(self):
-        params = CoherenceBasisParams.balanced(lam=1.0, delta=2.5, gamma=0.7)
-        canon = params.canonical()
-        assert canon.lam == 0.0 and canon.gamma == 0.0
-        assert canon.delta == pytest.approx(1.5, abs=1e-12)
+    def test_q_completes_the_modulus(self):
+        params = CoherenceBasisParams(p=0.6)
+        assert params.q == pytest.approx(0.8, abs=1e-15)
+        assert CoherenceBasisParams.balanced().q == pytest.approx(SQRT_HALF, abs=1e-15)
 
 
 class TestExchangeOperator:
@@ -84,7 +95,7 @@ class TestExchangeOperator:
         np.testing.assert_allclose(out.amplitudes, balanced_pair.amplitudes, atol=1e-15)
 
     def test_antisymmetric_state_flips_sign(self):
-        singlet = state_vector(np.array([0, 1, -1, 0]) * SQRT_HALF, dims=(2, 2))
+        singlet = StateVector((2, 2), np.array([0, 1, -1, 0]) * SQRT_HALF)
         out = apply_unitary(singlet, exchange_operator(2), (0, 1))
         np.testing.assert_allclose(out.amplitudes, -singlet.amplitudes, atol=1e-15)
 
@@ -165,7 +176,7 @@ class TestSearchSymmetricBases:
     def test_raw_hits_lie_on_phase_orbits(self):
         # Every raw hit differs from a canonical one only by an overall phase:
         # the class depends on delta - lam alone.
-        raw = search_symmetric_bases(12, canonical=False)
+        raw = raw_grid_hits(12)
         assert raw, "expected raw grid hits"
         for params, cls in raw:
             mu = (params.delta - params.lam) % TWO_PI
@@ -177,7 +188,7 @@ class TestSearchSymmetricBases:
     def test_each_class_is_a_single_basis(self, balanced_pair):
         # All raw hits of one class name the same physical basis, asserting
         # uniqueness at grid resolution.
-        raw = search_symmetric_bases(8, canonical=False)
+        raw = raw_grid_hits(8)
         references = {
             SymmetryClass.TERMWISE_SYMMETRIC: np.array([SQRT_HALF, SQRT_HALF]),
             SymmetryClass.TERM_SWAPPING: np.array([SQRT_HALF, 1j * SQRT_HALF]),
@@ -192,6 +203,17 @@ class TestSearchSymmetricBases:
             # its orthogonal mate.
             assert overlaps[1] == pytest.approx(1.0, abs=1e-9)
             assert overlaps[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_search_is_the_reduced_raw_grid(self):
+        # Reducing each raw hit to lam = 0 by integer steps gives the search result.
+        for steps in (8, 12):
+            reduced = {
+                (round((p.delta - p.lam) % TWO_PI / TWO_PI * steps) % steps, c)
+                for p, c in raw_grid_hits(steps)
+            }
+            found = [(round(p.delta / TWO_PI * steps), c) for p, c in search_symmetric_bases(steps)]
+            assert sorted(found, key=lambda h: (h[1].value, h[0])) == found
+            assert set(found) == reduced and len(found) == len(reduced)
 
     def test_grid_steps_validation(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,12 @@ class TestSlitModel:
         with pytest.raises(ValueError):
             SlitModel(envelope_width=0.0)
 
+    @pytest.mark.parametrize("field", ["envelope_width", "phase_gradient"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True])
+    def test_non_finite_or_non_numeric_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SlitModel(**{field: value})
+
 
 class TestScreenAmplitude:
     def test_antisymmetric_combination_vanishes_at_center(self, model):
@@ -166,6 +172,26 @@ class TestQuadratureGrid:
         np.testing.assert_allclose(array.centers, [-3, -1, 1, 3])
         assert array.edges(1) == (-4.0, -2.0)
         assert array.span == 8.0
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n_bins": 2.5, "bin_width": 1.0}, "n_bins"),
+            ({"n_bins": True, "bin_width": 1.0}, "n_bins"),
+            ({"n_bins": 0, "bin_width": 1.0}, "n_bins"),
+            ({"n_bins": 4, "bin_width": math.inf}, "bin_width"),
+            ({"n_bins": 4, "bin_width": math.nan}, "bin_width"),
+            ({"n_bins": 4, "bin_width": True}, "bin_width"),
+        ],
+    )
+    def test_detector_array_validation(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            DetectorArray(**kwargs)
+
+    @pytest.mark.parametrize("points", [0, 2.5, True, math.inf])
+    def test_points_per_bin_validation(self, array, points):
+        with pytest.raises(ValueError, match="points_per_bin"):
+            quadrature_grid(array, points)
 
 
 class TestSimpleErasure:
@@ -313,6 +339,13 @@ class TestProbabilityTable:
         assert (mode, d, n) == ("simple", "+", "1")
         assert float(x) == -3.0
         float(p)  # parses
+
+    @pytest.mark.parametrize("n", [0, -1, 5])
+    def test_entry_bin_out_of_range(self, n):
+        table = run_simple_erasure(ErasureConfig(n_bins=4, bin_width=2.0))
+        with pytest.raises(ValueError, match=r"range 1\.\.4"):
+            table.entry("+", n)
+        assert table.entry("+", 4) == table.values[0, 3]
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):

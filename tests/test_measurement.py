@@ -7,6 +7,7 @@ import pytest
 
 from erasure_lab import (
     MeasurementOutcome,
+    StateVector,
     apply_unitary,
     basis_state,
     couple_shift_register,
@@ -17,7 +18,6 @@ from erasure_lab import (
     mark_which_way,
     partial_trace,
     schmidt_decompose,
-    state_vector,
     tensor,
 )
 from helpers import (
@@ -86,7 +86,7 @@ class TestDistantMeasure:
 
     def test_product_state_is_not_steered(self, rng):
         phi = random_state(rng, (3,))
-        joint = tensor(state_vector([SQRT_HALF, SQRT_HALF]), phi)
+        joint = tensor(StateVector((2,), [SQRT_HALF, SQRT_HALF]), phi)
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
         outcomes = distant_measure(joint, (0,), [plus, minus])
@@ -138,7 +138,7 @@ class TestCoupleDetector:
         )
 
     def test_marking_interaction_records_which_way(self):
-        state = tensor(state_vector([SQRT_HALF, SQRT_HALF]), basis_state((2,), (0,)))
+        state = tensor(StateVector((2,), [SQRT_HALF, SQRT_HALF]), basis_state((2,), (0,)))
         out = apply_unitary(state, which_way_marker(2), (0, 1))
         np.testing.assert_allclose(
             out.amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF], atol=1e-15
@@ -151,7 +151,7 @@ class TestCoupleDetector:
             x = random_state(rng, (2,))
             y_raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             y_raw -= np.vdot(x.amplitudes, y_raw) * x.amplitudes
-            y = state_vector(y_raw / np.linalg.norm(y_raw))
+            y = StateVector(x.dims, y_raw / np.linalg.norm(y_raw))
             image_x = couple_detector(x, ready, u, (0, 1))
             image_y = couple_detector(y, ready, u, (0, 1))
             assert abs(image_x.overlap(image_y)) < 1e-12
@@ -175,7 +175,7 @@ class TestCoupleDetector:
         for u in couplings:
             images = [couple_detector(w, ready, u, (0, 1)).amplitudes for w in way]
             for sign in (+1.0, -1.0):
-                coherent = state_vector(np.array([1.0, sign]) * SQRT_HALF)
+                coherent = StateVector((2,), np.array([1.0, sign]) * SQRT_HALF)
                 image = couple_detector(coherent, ready, u, (0, 1)).amplitudes
                 np.testing.assert_allclose(
                     image, (images[0] + sign * images[1]) * SQRT_HALF, atol=1e-12
@@ -218,6 +218,15 @@ class TestShiftRegister:
 
 
 class TestCutCompare:
+    @pytest.mark.parametrize("compare", [(1, 2), (2, 1), (2,), (1,)])
+    def test_compare_order_is_respected(self, rng, compare):
+        # (2, 1) covers the whole remainder in reversed order.
+        state = random_state(rng, (2, 2, 3))
+        outcomes = distant_measure(state, (0,), [[1.0, 0.0], [0.0, 1.0]])
+        result = cut_compare(state, (0,), outcomes, compare=compare)
+        assert result.branches_complete
+        assert result.distance < 1e-12
+
     def test_complete_branches_match_partial_trace(self, balanced_pair):
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
@@ -262,4 +271,4 @@ class TestCutCompare:
 def _identity(dim):
     from erasure_lab import UnitaryOperator
 
-    return UnitaryOperator(dim, np.eye(dim))
+    return UnitaryOperator(np.eye(dim))

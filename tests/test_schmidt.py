@@ -7,13 +7,14 @@ import pytest
 
 from erasure_lab import (
     CoherenceBasisParams,
+    SchmidtDecomposition,
+    basis_state,
     coherence_pair,
     correlation_operator,
     is_epr_type,
     mark_which_way,
     reschmidt,
     schmidt_decompose,
-    state_vector,
     tensor,
 )
 from helpers import random_state, reduced_density_oracle
@@ -99,6 +100,21 @@ class TestSchmidtDecompose:
             schmidt_decompose(state, (0, 1))
 
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [math.nan, math.nan],
+            [math.nan, SQRT_HALF],
+            [math.inf, SQRT_HALF],
+            [-math.inf, 1.0],
+            [math.inf, math.inf],
+        ],
+    )
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients"):
+            SchmidtDecomposition(coeffs, np.eye(2), np.eye(2))
+
+
 class TestEprClassification:
     def test_balanced_pair_is_degenerate(self, balanced_pair):
         assert is_epr_type(schmidt_decompose(balanced_pair, (0,)))
@@ -109,7 +125,7 @@ class TestEprClassification:
 
     def test_unbalanced_weights_are_not(self):
         state = mark_which_way(math.sqrt(0.6), math.sqrt(0.4))
-        assert not is_epr_type(schmidt_decompose(state, (0,)), degeneracy_tol=1e-6)
+        assert not is_epr_type(schmidt_decompose(state, (0,)))
 
 
 class TestCorrelationOperator:
@@ -126,7 +142,7 @@ class TestCorrelationOperator:
 
     def test_coherence_vector_image_is_conjugate_partner(self, balanced_pair):
         # For the balanced pair the partner has conjugated coefficients.
-        params = CoherenceBasisParams(p=0.6, q=0.8, lam=0.9, delta=2.2, gamma=0.4)
+        params = CoherenceBasisParams(p=0.6, lam=0.9, delta=2.2, gamma=0.4)
         a, _ = coherence_pair(params)
         op = correlation_operator(schmidt_decompose(balanced_pair, (0,)))
         expected = np.conj(a.amplitudes)
@@ -188,7 +204,7 @@ class TestReschmidt:
             reschmidt(balanced_pair, (0,), [np.array([1.0, 0.0]), np.array([1.0, 1.0]) * SQRT_HALF])
 
     def test_rejects_vector_outside_support(self, rng):
-        joint = tensor(state_vector([1.0, 0.0]), random_state(rng, (2,)))
+        joint = tensor(basis_state((2,), (0,)), random_state(rng, (2,)))
         with pytest.raises(ValueError, match="support"):
             reschmidt(joint, (0,), [np.array([0.0, 1.0])])
 
@@ -198,7 +214,6 @@ class TestReschmidt:
             p = rng.uniform(0.1, 0.9)
             params = CoherenceBasisParams(
                 p=p,
-                q=math.sqrt(1 - p * p),
                 lam=rng.uniform(0, 2 * math.pi),
                 delta=rng.uniform(0, 2 * math.pi),
                 gamma=rng.uniform(0, 2 * math.pi),

@@ -13,7 +13,6 @@ from erasure_lab import (
     basis_state,
     haar_random_unitary,
     partial_trace,
-    state_vector,
     tensor,
     trace_norm_distance,
 )
@@ -37,7 +36,7 @@ class TestTypes:
 
     def test_state_vector_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
-            state_vector([1.0, 1.0])
+            StateVector((2,), [1.0, 1.0])
 
     def test_state_vector_length_enforced(self):
         with pytest.raises(ValueError):
@@ -50,15 +49,22 @@ class TestTypes:
 
     def test_density_operator_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityOperator(2, np.array([[0.5, 0.5], [0.0, 0.5]]))
+            DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(2, np.eye(2))
+            DensityOperator(np.eye(2))
         with pytest.raises(ValueError, match="eigenvalue"):
-            DensityOperator(2, np.diag([1.5, -0.5]))
+            DensityOperator(np.diag([1.5, -0.5]))
 
     def test_unitary_validation(self):
         with pytest.raises(ValueError, match="unitary"):
-            UnitaryOperator(2, np.array([[1.0, 0.0], [0.0, 2.0]]))
+            UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("operator", [DensityOperator, UnitaryOperator])
+    def test_operator_dim_read_from_square_matrix(self, operator):
+        assert operator(np.eye(3) / (3.0 if operator is DensityOperator else 1.0)).dim == 3
+        for bad in (np.eye(2)[:1], np.ones(4) / 4, np.ones((2, 2, 2)) / 4):
+            with pytest.raises(ValueError, match="square"):
+                operator(bad)
 
 
 class TestTensor:
@@ -70,7 +76,7 @@ class TestTensor:
         np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
 
     def test_linearity_in_first_factor(self):
-        superposition = state_vector(np.array([1.0, 1.0]) / np.sqrt(2))
+        superposition = StateVector((2,), np.array([1.0, 1.0]) / np.sqrt(2))
         ground = basis_state((3,), (0,))
         out = tensor(superposition, ground)
         expected = np.zeros(6)
@@ -87,7 +93,7 @@ class TestTensor:
             return
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        out = tensor(state_vector(a), state_vector(b))
+        out = tensor(StateVector((2,), a), StateVector((2,), b))
         for i in range(2):
             for j in range(2):
                 assert out.amplitudes[i * 2 + j] == pytest.approx(a[i] * b[j], abs=1e-15)
@@ -147,7 +153,7 @@ class TestPartialTrace:
 class TestApplyUnitary:
     def test_identity_leaves_state(self, rng):
         state = random_state(rng, (2, 3))
-        out = apply_unitary(state, UnitaryOperator(3, np.eye(3)), targets=(1,))
+        out = apply_unitary(state, UnitaryOperator(np.eye(3)), targets=(1,))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_swap_permutes_basis_kets(self):
@@ -155,7 +161,7 @@ class TestApplyUnitary:
         for j in range(2):
             for k in range(2):
                 swap[k * 2 + j, j * 2 + k] = 1.0
-        out = apply_unitary(basis_state((2, 2), (0, 1)), UnitaryOperator(4, swap), (0, 1))
+        out = apply_unitary(basis_state((2, 2), (0, 1)), UnitaryOperator(swap), (0, 1))
         np.testing.assert_allclose(out.amplitudes, basis_state((2, 2), (1, 0)).amplitudes)
 
     def test_local_unitary_leaves_other_reduction(self, rng):
@@ -181,14 +187,14 @@ class TestApplyUnitary:
         state = random_state(rng, (2, 2))
         u = haar_random_unitary(4, rng).matrix
         swapped = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        a = apply_unitary(state, UnitaryOperator(4, u), (0, 1))
-        b = apply_unitary(state, UnitaryOperator(4, swapped), (1, 0))
+        a = apply_unitary(state, UnitaryOperator(u), (0, 1))
+        b = apply_unitary(state, UnitaryOperator(swapped), (1, 0))
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, rng):
         state = random_state(rng, (2, 3))
         with pytest.raises(ValueError, match="dimension"):
-            apply_unitary(state, UnitaryOperator(2, np.eye(2)), targets=(1,))
+            apply_unitary(state, UnitaryOperator(np.eye(2)), targets=(1,))
 
 
 def test_trace_norm_distance_basics():

@@ -20,10 +20,8 @@ from .erasure import (
     ErasureConfig,
     ProbabilityTable,
     SlitModel,
-    fringe_visibility,
     run_delayed_choice,
     run_simple_erasure,
-    screen_amplitude,
     verify_equality,
 )
 from .measurement import (
@@ -82,7 +80,6 @@ __all__ = [
     "cut_compare",
     "distant_measure",
     "exchange_operator",
-    "fringe_visibility",
     "haar_random_unitary",
     "is_epr_type",
     "mark_which_way",
@@ -91,7 +88,6 @@ __all__ = [
     "run_delayed_choice",
     "run_simple_erasure",
     "schmidt_decompose",
-    "screen_amplitude",
     "search_symmetric_bases",
     "tensor",
     "trace_norm_distance",

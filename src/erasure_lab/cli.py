@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +49,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
-        if not (isinstance(self.output_path, str) and self.output_path):
-            raise ConfigError("output_path must be a non-empty string")
+        path = self.output_path
+        try:
+            usable = isinstance(path, str) and path and b"\0" not in os.fsencode(path)
+        except UnicodeEncodeError:
+            usable = False
+        if not usable:
+            raise ConfigError("output_path must be a non-empty string without NUL or unencodable characters")
         try:
             tolerance = erasure.positive_number("tolerance", self.tolerance, float)
         except ValueError as exc:

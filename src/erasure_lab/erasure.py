@@ -9,7 +9,10 @@ probability table p(d, n) over marker outcomes d and detector bins n:
   each conditional screen wavefunction with the chosen Born rule;
 * delayed-choice (after-detection) erasure couples the screen particle to a
   localization register on a position grid first, measures the marker
-  afterwards, and reads the joint statistics off the composite state.
+  afterwards, and reads the joint statistics off the composite state.  The
+  coupling is an isometry, so that state is held exactly in the coordinates
+  of its image: one amplitude per marker state and grid node, tagged with
+  the register state (the node's bin) it carries.
 
 Both pipelines are built from the same quadrature grid, so their tables can
 be compared elementwise; `verify_equality` reports the maximum deviation.
@@ -31,14 +34,14 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .measurement import balanced_pair, couple_shift_register, distant_measure
-from .schmidt import correlation_operator, schmidt_decompose
+from .measurement import balanced_pair, distant_measure
 from .states import StateVector, UnitaryOperator, apply_unitary
 
 SUM_TOL = 1e-6
@@ -70,12 +73,14 @@ _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
 def positive_number(name: str, raw, kind: type) -> float | int:
     """`raw` as a positive finite `kind`, or a ValueError naming the field.
 
-    Booleans, NaN, infinities and (for int fields) non-integral values are
-    rejected rather than coerced.
+    Only real numbers are accepted: strings, booleans, NaN, infinities and
+    (for int fields) non-integral values are rejected rather than coerced.
     """
     try:
+        if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+            raise TypeError
         value = kind(raw)
-        valid = not isinstance(raw, bool) and math.isfinite(value) and (kind is float or value == raw)
+        valid = math.isfinite(value) and (kind is float or value == raw)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -178,22 +183,6 @@ def quadrature_grid(
     return nodes, weights, bin_index
 
 
-def screen_amplitude(model: SlitModel, d: str, x) -> np.ndarray | complex:
-    """Screen wavefunction for outcome label d at position(s) x.
-
-    The slit coefficients are the partner, under the source pair's
-    correlation operator, of the marker ket labelled d: "1"/"2" give the bare
-    slit modes, "+"/"-" the combinations (psi_1 +- psi_2)/sqrt(2), and
-    "+i"/"-i" the conjugate patterns (psi_1 -+ i psi_2)/sqrt(2).
-    """
-    kets = {label: ket for choice in _BASIS_KETS.values() for label, ket in choice}
-    if d not in kets:
-        raise ValueError(f"unknown outcome label {d!r}")
-    partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
-    values = model.wavefunction(partner, np.atleast_1d(np.asarray(x, float)))
-    return values if np.ndim(x) else complex(values[0])
-
-
 def _bin_values(
     psi: np.ndarray, weights: np.ndarray, bin_index: np.ndarray, n_bins: int, rule: str
 ) -> np.ndarray:
@@ -244,23 +233,6 @@ class ProbabilityTable:
     @property
     def n_bins(self) -> int:
         return self.centers.size
-
-    def entry(self, d: str, n: int) -> float:
-        """p(d, n) with 1-based bin index n."""
-        if not 1 <= n <= self.n_bins:
-            raise ValueError(f"bin index {n} out of range 1..{self.n_bins}")
-        return float(self.values[self.labels.index(d), n - 1])
-
-    def row(self, d: str) -> np.ndarray:
-        return self.values[self.labels.index(d)]
-
-    def label_marginals(self) -> np.ndarray:
-        """Total probability per outcome label."""
-        return self.values.sum(axis=1)
-
-    def bin_marginal(self) -> np.ndarray:
-        """Unconditioned screen distribution: sum over outcome labels per bin."""
-        return self.values.sum(axis=0)
 
     def to_csv(self) -> str:
         """Deterministic CSV with header mode,d,n,x_center,p (17 significant digits)."""
@@ -368,10 +340,13 @@ def run_delayed_choice(
     """Screen detection first, marker measurement afterwards.
 
     The screen particle is discretized on the quadrature grid and coupled to
-    a localization register of dimension n_bins + 1 (state 0 untriggered, one
-    state per bin) by the shift coupling |x>|0> -> |x>|bin(x)>.  The marker is
-    then measured on the composite state, and p(d, n) is read from the
-    register blocks of each conditional state.
+    a localization register (state 0 untriggered, one state per bin) by the
+    shift coupling |x>|0> -> |x>|bin(x)>.  That coupling is an isometry, so
+    the coupled state is held exactly in its image, spanned by
+    |m>|x_j>|bin_index[j]>: one coordinate per marker state m and node j, and
+    no n_bins + 1 register slots per node.  The marker is then measured on
+    the composite state, and p(d, n) is read from each conditional state's
+    coordinates whose register tag is n.
 
     `marker_unitary` evolves the marker during the delay, after the screen
     detection and before the marker measurement.
@@ -386,16 +361,16 @@ def run_delayed_choice(
         model.slit_amplitude(1, nodes) * sqrt_w,
         model.slit_amplitude(2, nodes) * sqrt_w,
     ])
-    source = StateVector((2, nodes.size), (modes * _SQRT_HALF).reshape(-1))
-    coupled = couple_shift_register(source, bin_index, register_dim=array.n_bins + 1)
+    coupled = StateVector((2, nodes.size), (modes * _SQRT_HALF).reshape(-1))
 
     def readout(post: np.ndarray) -> np.ndarray:
-        blocks = post.reshape(nodes.size, array.n_bins + 1)[:, 1:]
         if config.born_rule == "intensity":
-            return np.sum(np.abs(blocks) ** 2, axis=0)
+            return np.bincount(bin_index, weights=np.abs(post) ** 2, minlength=array.n_bins + 1)[1:]
         # Integrated amplitude of the bin-n component: undo the sqrt(w)
         # scaling and apply the quadrature weights.
-        return np.abs(sqrt_w @ blocks) ** 2
+        sums = np.zeros(array.n_bins + 1, dtype=np.complex128)
+        np.add.at(sums, bin_index, sqrt_w * post)
+        return np.abs(sums[1:]) ** 2
 
     return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
 
@@ -437,12 +412,3 @@ def verify_equality(
         worst_label=t1.labels[i],
         worst_bin=int(j + 1),
     )
-
-
-def fringe_visibility(pattern: Sequence[float]) -> float:
-    """(max - min) / (max + min) over a probability pattern's extrema."""
-    values = np.asarray(pattern, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty pattern")
-    hi, lo = float(values.max()), float(values.min())
-    return 0.0 if hi + lo == 0.0 else (hi - lo) / (hi + lo)

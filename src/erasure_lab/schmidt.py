@@ -114,10 +114,6 @@ class SchmidtDecomposition:
         """Coefficient matrix sum_k c_k |left_k><right_k*| of shape (dim_left, dim_right)."""
         return (self.basis_left.T * self.coefficients) @ self.basis_right
 
-    def reconstruct(self) -> StateVector:
-        """The expanded state on the (left, right) ordered bipartite space."""
-        return StateVector((self.dim_left, self.dim_right), self.matrix().reshape(-1))
-
 
 def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomposition:
     """Canonical decomposition across `split` (left) vs the remaining subsystems.

@@ -73,12 +73,6 @@ class StateVector:
         """Amplitudes reshaped to one axis per subsystem."""
         return self.amplitudes.reshape(self.dims)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
 
 def _square(matrix) -> np.ndarray:
     """`matrix` as a read-only complex array, rejected unless 2-D and square."""
@@ -108,10 +102,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)

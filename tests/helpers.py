@@ -7,7 +7,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from erasure_lab import StateVector, UnitaryOperator, apply_unitary, screen_amplitude, tensor
+from erasure_lab import (
+    StateVector,
+    UnitaryOperator,
+    apply_unitary,
+    balanced_pair,
+    correlation_operator,
+    couple_shift_register,
+    schmidt_decompose,
+    tensor,
+)
+from erasure_lab.erasure import _BASIS_KETS, _measure_marker, quadrature_grid
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -54,7 +64,7 @@ def ensemble_density(outcomes) -> np.ndarray:
     dim = realized[0].post_state.amplitudes.size
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for o in realized:
-        rho += o.probability * o.post_state.density_matrix()
+        rho += o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj())
     return rho
 
 
@@ -79,6 +89,55 @@ def which_way_marker(dim: int) -> UnitaryOperator:
 def couple_detector(state: StateVector, detector_init: StateVector, u: UnitaryOperator, targets):
     """Append a detector in `detector_init` and evolve `targets` of the combined system by `u`."""
     return apply_unitary(tensor(state, detector_init), u, targets)
+
+
+def screen_amplitude(model, d: str, x) -> np.ndarray | complex:
+    """Screen wavefunction for outcome label d at position(s) x.
+
+    The slit coefficients are the partner, under the source pair's
+    correlation operator, of the marker ket labelled d: "1"/"2" give the bare
+    slit modes, "+"/"-" the combinations (psi_1 +- psi_2)/sqrt(2), and
+    "+i"/"-i" the conjugate patterns (psi_1 -+ i psi_2)/sqrt(2).
+    """
+    kets = {label: ket for choice in _BASIS_KETS.values() for label, ket in choice}
+    if d not in kets:
+        raise ValueError(f"unknown outcome label {d!r}")
+    partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
+    values = model.wavefunction(partner, np.atleast_1d(np.asarray(x, float)))
+    return values if np.ndim(x) else complex(values[0])
+
+
+def fringe_visibility(pattern) -> float:
+    """(max - min) / (max + min) over a probability pattern's extrema."""
+    values = np.asarray(pattern, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty pattern")
+    hi, lo = float(values.max()), float(values.min())
+    return 0.0 if hi + lo == 0.0 else (hi - lo) / (hi + lo)
+
+
+def dense_delayed_table(config, marker_unitary=None):
+    """The delayed-choice table from an explicit localization register.
+
+    The grid source is coupled to all n_bins + 1 register states by
+    `couple_shift_register` (32 * n_bins * Q * (n_bins + 1) bytes), and each
+    conditional state is read off its register blocks.  Oracle for the
+    library route, which keeps the coupled state in the coupling's image.
+    """
+    model, array = config.model(), config.array()
+    nodes, weights, bin_index = quadrature_grid(array, config.quadrature_points)
+    sqrt_w = np.sqrt(weights)
+    modes = np.array([model.slit_amplitude(slit, nodes) * sqrt_w for slit in (1, 2)])
+    source = StateVector((2, nodes.size), (modes * np.sqrt(0.5)).reshape(-1))
+    coupled = couple_shift_register(source, bin_index, register_dim=array.n_bins + 1)
+
+    def readout(post: np.ndarray) -> np.ndarray:
+        blocks = post.reshape(nodes.size, array.n_bins + 1)[:, 1:]
+        if config.born_rule == "intensity":
+            return np.sum(np.abs(blocks) ** 2, axis=0)
+        return np.abs(sqrt_w @ blocks) ** 2
+
+    return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
 
 
 COVERAGE_TOL = 1e-6

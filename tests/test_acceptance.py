@@ -15,7 +15,6 @@ from erasure_lab import (
     SymmetryClass,
     coherence_pair,
     correlation_operator,
-    fringe_visibility,
     mark_which_way,
     partial_trace,
     reschmidt,
@@ -25,7 +24,7 @@ from erasure_lab import (
 )
 from erasure_lab.cli import _cut_demo_scenario, main, parse_config, execute
 from erasure_lab.erasure import ErasureConfig
-from helpers import random_state, reduced_density_oracle
+from helpers import fringe_visibility, random_state, reduced_density_oracle
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -68,7 +67,7 @@ def test_criterion_2_schmidt_fidelity():
     for i in range(500):
         state = random_state(rng, dims_cycle[i % 3])
         dec = schmidt_decompose(state, (0,))
-        recon = float(np.linalg.norm(dec.reconstruct().amplitudes - state.amplitudes))
+        recon = float(np.linalg.norm(dec.matrix().reshape(-1) - state.amplitudes))
         eigs = np.sort(np.linalg.eigvalsh(reduced_density_oracle(state, 0)))[::-1]
         gap = float(np.max(np.abs(dec.weights() - eigs[: dec.rank])))
         worst_recon = max(worst_recon, recon)
@@ -104,7 +103,7 @@ def test_criterion_3_epr_redecomposition():
         )
         worst_recon = max(
             worst_recon,
-            float(np.linalg.norm(dec.reconstruct().amplitudes - pair.amplitudes)),
+            float(np.linalg.norm(dec.matrix().reshape(-1) - pair.amplitudes)),
         )
     ok = worst_partner < 1e-10 and worst_recon < 1e-9
     assert _report(
@@ -184,11 +183,11 @@ def test_criterion_6_cut_equivalence():
 def test_criterion_7_fringe_contrast():
     coherence_table = run_simple_erasure(ErasureConfig())
     whichway_table = run_simple_erasure(ErasureConfig(basis="whichway"))
-    vis_plus = fringe_visibility(coherence_table.row("+"))
-    vis_ww = fringe_visibility(whichway_table.bin_marginal())
-    marginal_gap = float(
-        np.max(np.abs(coherence_table.bin_marginal() - whichway_table.bin_marginal()))
-    )
+    vis_plus = fringe_visibility(coherence_table.values[coherence_table.labels.index("+")])
+    coherence_marginal = coherence_table.values.sum(axis=0)
+    whichway_marginal = whichway_table.values.sum(axis=0)
+    vis_ww = fringe_visibility(whichway_marginal)
+    marginal_gap = float(np.max(np.abs(coherence_marginal - whichway_marginal)))
     ok = vis_plus > 0.9 and vis_ww < 0.05 and marginal_gap < 1e-9
     assert _report(
         7,

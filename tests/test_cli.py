@@ -84,6 +84,11 @@ class TestParseConfig:
             ({"output_path": {"a": 1}}, "output_path must be a non-empty string"),
             ({"output_path": 3}, "output_path must be a non-empty string"),
             ({"output_path": ""}, "output_path must be a non-empty string"),
+            ({"output_path": "a\u0000b"}, "output_path must be a non-empty string without NUL"),
+            ({"output_path": "\ud800x"}, "output_path must be a non-empty string without NUL or unencodable"),
+            ({"bin_width": "0.5"}, "bin_width must be a finite number"),
+            ({"n_bins": "16"}, "n_bins must be an integer"),
+            ({"tolerance": "1e-9"}, "tolerance must be a finite number"),
         ],
         ids=[
             "tolerance-text",
@@ -94,6 +99,11 @@ class TestParseConfig:
             "output_path-object",
             "output_path-number",
             "output_path-empty",
+            "output_path-nul",
+            "output_path-lone-surrogate",
+            "bin_width-numeric-text",
+            "n_bins-numeric-text",
+            "tolerance-numeric-text",
         ],
     )
     def test_wrong_types_rejected(self, doc, message):
@@ -223,6 +233,18 @@ class TestExitCodes:
     def test_unreadable_config_is_3(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "missing.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"output_path": "a\u0000b"}, {"output_path": "\ud800x"}, {"bin_width": "0.5", "tolerance": "1e-9"}],
+        ids=["nul-path", "lone-surrogate-path", "numeric-text"],
+    )
+    def test_unusable_config_values_are_2(self, tmp_path, capsys, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(json.dumps({"command": "verify", **doc}))
+        assert run_cli(["verify", "--config", "bad.json"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_missing_command_is_2(self, capsys):
         assert run_cli([]) == 2
 
@@ -231,14 +253,14 @@ class TestExitCodes:
         assert "tolerance" in capsys.readouterr().err
 
     def test_unexpected_error_is_4(self, tmp_path, capsys, monkeypatch):
-        # Stands in for a register too large to allocate, without allocating one.
+        # Stands in for an array too large to allocate, without allocating one.
         def exhausted(config, marker_unitary=None):
-            raise MemoryError("register does not fit")
+            raise MemoryError("array does not fit")
 
         monkeypatch.setattr(erasure, "run_delayed_choice", exhausted)
         assert run_cli(["erasure", "delayed", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
-        assert err == "error: MemoryError: register does not fit\n"
+        assert err == "error: MemoryError: array does not fit\n"
         assert "Traceback" not in err
 
 

@@ -68,7 +68,7 @@ class TestSchmidtDecompose:
             state = random_state(rng, dims)
             dec = schmidt_decompose(state, (0,))
             np.testing.assert_allclose(
-                dec.reconstruct().amplitudes, state.amplitudes, atol=1e-9
+                dec.matrix().reshape(-1), state.amplitudes, atol=1e-9
             )
             for basis in (dec.basis_left, dec.basis_right):
                 gram = basis.conj() @ basis.T
@@ -90,7 +90,7 @@ class TestSchmidtDecompose:
         state = random_state(rng, (2, 2, 3))
         dec = schmidt_decompose(state, (0, 1))
         assert dec.dim_left == 4 and dec.dim_right == 3
-        np.testing.assert_allclose(dec.reconstruct().amplitudes, state.amplitudes, atol=1e-9)
+        np.testing.assert_allclose(dec.matrix().reshape(-1), state.amplitudes, atol=1e-9)
 
     def test_split_validation(self, rng):
         state = random_state(rng, (2, 2))
@@ -190,7 +190,7 @@ class TestReschmidt:
         second = np.array([1.0, -1.0]) * SQRT_HALF
         dec = reschmidt(balanced_pair, (0,), [first, second])
         np.testing.assert_allclose(dec.basis_left[0], first, atol=1e-15)
-        np.testing.assert_allclose(dec.reconstruct().amplitudes, balanced_pair.amplitudes, atol=1e-9)
+        np.testing.assert_allclose(dec.matrix().reshape(-1), balanced_pair.amplitudes, atol=1e-9)
 
     def test_rejects_nondegenerate_rotation(self):
         state = mark_which_way(math.sqrt(0.6), math.sqrt(0.4))
@@ -221,7 +221,7 @@ class TestReschmidt:
             a, b = coherence_pair(params)
             dec = reschmidt(balanced_pair, (0,), [a, b])
             np.testing.assert_allclose(
-                dec.reconstruct().amplitudes, balanced_pair.amplitudes, atol=1e-9
+                dec.matrix().reshape(-1), balanced_pair.amplitudes, atol=1e-9
             )
             # Partner states are the antilinear images of the basis vectors.
             np.testing.assert_allclose(dec.basis_right[0], op.apply(a), atol=1e-10)

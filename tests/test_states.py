@@ -105,7 +105,7 @@ class TestTensor:
             right = random_state(rng, (4,))
             joint = tensor(left, right)
             reduced = partial_trace(joint, keep=(0,))
-            assert trace_distance_oracle(reduced.matrix, left.density_matrix()) < 1e-12
+            assert trace_distance_oracle(reduced.matrix, np.outer(left.amplitudes, left.amplitudes.conj())) < 1e-12
 
 
 class TestPartialTrace:
@@ -128,7 +128,7 @@ class TestPartialTrace:
         phi = random_state(rng, (3,))
         joint = tensor(basis_state((2,), (0,)), phi)
         rho = partial_trace(joint, keep=(1,))
-        np.testing.assert_allclose(rho.matrix, phi.density_matrix(), atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, np.outer(phi.amplitudes, phi.amplitudes.conj()), atol=1e-15)
 
     def test_keep_must_be_proper_subset(self):
         state = basis_state((2, 2), (0, 0))
@@ -141,13 +141,14 @@ class TestPartialTrace:
         # Einsum contraction of the full density operator as the reference.
         state = random_state(rng, (2, 3, 2))
         via_state = partial_trace(state, keep=(1,))
-        via_operator = partial_trace_oracle(state.density_matrix(), state.dims, keep=(1,))
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        via_operator = partial_trace_oracle(rho, state.dims, keep=(1,))
         np.testing.assert_allclose(via_operator, via_state.matrix, atol=1e-12)
 
     def test_eigenvalues_sum_to_one(self, rng):
         for dims in [(2, 2), (2, 3), (4, 3, 2)]:
             rho = partial_trace(random_state(rng, dims), keep=(0,))
-            assert float(np.sum(rho.eigenvalues())) == pytest.approx(1.0, abs=1e-10)
+            assert float(np.sum(np.linalg.eigvalsh(rho.matrix))) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestApplyUnitary:

@@ -28,7 +28,6 @@ _CLI_KEYS = ("command", "output_path", "tolerance")
 _ERASURE_KEYS = tuple(f.name for f in dataclasses.fields(erasure.ErasureConfig))
 
 DEFAULT_OUTPUT_PATH = "out"
-DEFAULT_TOLERANCE = 1e-9
 
 _SEARCH_GRID_STEPS = 16
 _CUT_DEMO_SEED = 7
@@ -44,7 +43,7 @@ class ExperimentConfig:
     command: str
     erasure: erasure.ErasureConfig
     output_path: str = DEFAULT_OUTPUT_PATH
-    tolerance: float = DEFAULT_TOLERANCE
+    tolerance: float = erasure.DEFAULT_EQUALITY_TOL
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -99,7 +98,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
         command=str(resolved_command),
         erasure=erasure_config,
         output_path=raw.get("output_path", DEFAULT_OUTPUT_PATH),
-        tolerance=raw.get("tolerance", DEFAULT_TOLERANCE),
+        tolerance=raw.get("tolerance", erasure.DEFAULT_EQUALITY_TOL),
     )
 
 

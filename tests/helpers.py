@@ -103,7 +103,8 @@ def screen_amplitude(model, d: str, x) -> np.ndarray | complex:
     if d not in kets:
         raise ValueError(f"unknown outcome label {d!r}")
     partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
-    values = model.wavefunction(partner, np.atleast_1d(np.asarray(x, float)))
+    x_arr = np.atleast_1d(np.asarray(x, float))
+    values = partner[0] * model.slit_amplitude(1, x_arr) + partner[1] * model.slit_amplitude(2, x_arr)
     return values if np.ndim(x) else complex(values[0])
 
 
@@ -124,20 +125,44 @@ def dense_delayed_table(config, marker_unitary=None):
     conditional state is read off its register blocks.  Oracle for the
     library route, which keeps the coupled state in the coupling's image.
     """
-    model, array = config.model(), config.array()
-    nodes, weights, bin_index = quadrature_grid(array, config.quadrature_points)
+    model = config.model()
+    nodes, weights, bin_index = quadrature_grid(config)
     sqrt_w = np.sqrt(weights)
     modes = np.array([model.slit_amplitude(slit, nodes) * sqrt_w for slit in (1, 2)])
     source = StateVector((2, nodes.size), (modes * np.sqrt(0.5)).reshape(-1))
-    coupled = couple_shift_register(source, bin_index, register_dim=array.n_bins + 1)
+    coupled = couple_shift_register(source, bin_index, register_dim=config.n_bins + 1)
 
     def readout(post: np.ndarray) -> np.ndarray:
-        blocks = post.reshape(nodes.size, array.n_bins + 1)[:, 1:]
+        blocks = post.reshape(nodes.size, config.n_bins + 1)[:, 1:]
         if config.born_rule == "intensity":
             return np.sum(np.abs(blocks) ** 2, axis=0)
         return np.abs(sqrt_w @ blocks) ** 2
 
     return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
+
+
+def grid_simple_table(config, marker_unitary=None):
+    """The simple-erasure table binned on the delayed route's quadrature grid.
+
+    Each partner wavefunction is sampled on `quadrature_grid(config)` and
+    summed per bin with the same weights the delayed route uses, so it
+    agrees with the delayed table to rounding at any quadrature_points.
+    Oracle for checks of the delayed route's marker measurement and readout
+    that must hold however coarse the grid is.
+    """
+    model = config.model()
+    nodes, weights, bin_index = quadrature_grid(config)
+    modes = np.array([model.slit_amplitude(slit, nodes) for slit in (1, 2)])
+
+    def readout(partner: np.ndarray) -> np.ndarray:
+        psi = partner @ modes
+        if config.born_rule == "intensity":
+            return np.bincount(bin_index, weights=weights * np.abs(psi) ** 2, minlength=config.n_bins + 1)[1:]
+        sums = np.zeros(config.n_bins + 1, dtype=np.complex128)
+        np.add.at(sums, bin_index, weights * psi)
+        return np.abs(sums[1:]) ** 2
+
+    return _measure_marker(config, "simple", balanced_pair(), marker_unitary, readout)
 
 
 COVERAGE_TOL = 1e-6
@@ -153,10 +178,12 @@ def bin_probability(model, array, d: str, n: int, rule: str = "intensity", point
 
     `intensity` integrates |psi_d|^2 over the bin; `amplitude` is the squared
     modulus of the integrated amplitude.  The bin is integrated on its own
-    Gauss-Legendre nodes mapped onto `array.edges(n)`, independently of the
-    library's quadrature grid and binning.
+    Gauss-Legendre nodes mapped onto its `array.bin_edges`, independently of
+    the library's quadrature grid and closed form.
     """
-    lo, hi = array.edges(n)
+    if not 1 <= n <= array.n_bins:
+        raise ValueError(f"bin index {n} out of range 1..{array.n_bins}")
+    lo, hi = array.bin_edges[n - 1 : n + 1]
     x, w = _legendre(points_per_bin)
     half = (hi - lo) / 2.0
     psi = screen_amplitude(model, d, (lo + hi) / 2.0 + half * x)

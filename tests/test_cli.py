@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from erasure_lab import erasure
+from erasure_lab import erasure, run_delayed_choice
 from erasure_lab.cli import (
     _CLI_KEYS,
     _ERASURE_KEYS,
@@ -22,6 +22,7 @@ from erasure_lab.cli import (
     main,
     parse_config,
 )
+from helpers import dense_delayed_table
 
 FLOAT_KEYS = ("envelope_width", "phase_gradient", "bin_width", "span", "tolerance")
 
@@ -117,6 +118,19 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"envelope_width": 5e-324}, "envelope_width must be positive and not subnormal"),
+            ({"bin_width": 1e-310}, "bin_width must be positive and not subnormal"),
+            ({"n_bins": 1, "bin_width": 1e-14, "span": 1e-14, "envelope_width": 1e-13}, "envelope"),
+        ],
+        ids=["envelope_width-subnormal", "bin_width-subnormal", "window-wider-than-tiny-span"],
+    )
+    def test_unresolvable_geometry_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"command": "verify", **doc}))
 
     def test_round_trip_is_stable(self):
         text = '{"command": "verify", "n_bins": 4, "bin_width": 2.0, "basis": "pmi"}'
@@ -262,6 +276,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: MemoryError: array does not fit\n"
         assert "Traceback" not in err
+
+
+class TestVerifyGeometry:
+    """`verify` reports the delayed route's discretization error on any valid geometry."""
+
+    @pytest.mark.parametrize("command", [["verify"], ["erasure", "delayed"]])
+    def test_window_edge_inside_a_bin_runs(self, tmp_path, command):
+        # The window edge 4 * 0.9 = 3.6 falls inside the outer bins [+-3.5, +-4].
+        (tmp_path / "config.json").write_text('{"envelope_width": 0.9}')
+        assert run_cli(command + ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+
+    def test_coarse_quadrature_fails_verify(self, tmp_path):
+        # One node per bin misses the fringes; the closed-form simple route does not.
+        (tmp_path / "config.json").write_text('{"quadrature_points": 1}')
+        assert run_cli(["verify", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert report["passed"] is False
+        assert report["max_deviation"] == pytest.approx(1.74e-3, rel=0.01)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        n_bins=st.integers(1, 32),
+        bin_width=st.floats(2**-10, 16.0),
+        kappa=st.floats(0.0, 4.0, exclude_min=True, allow_subnormal=False),
+        points=st.integers(1, 64),
+        basis=st.sampled_from(erasure.BASIS_CHOICES),
+        born_rule=st.sampled_from(erasure.BORN_RULES),
+    )
+    def test_any_valid_geometry_verifies_or_fails(
+        self, tmp_path_factory, data, n_bins, bin_width, kappa, points, basis, born_rule
+    ):
+        # Subnormal floats are config errors (see test_unresolvable_geometry_rejected).
+        span = n_bins * bin_width
+        envelope = data.draw(st.floats(0.0, span / 8.0, exclude_min=True, allow_subnormal=False))
+        doc = {
+            "envelope_width": envelope,
+            "phase_gradient": kappa,
+            "n_bins": n_bins,
+            "bin_width": bin_width,
+            "span": span,
+            "basis": basis,
+            "born_rule": born_rule,
+            "quadrature_points": points,
+        }
+        work = tmp_path_factory.mktemp("geometry")
+        (work / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(["verify", "--config", str(work / "config.json"), "--out", str(work / "out")])
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        # The dense register is at most 32 * 32 * 64 * 33 bytes (2.2 MB) here,
+        # so every draw is checked against it.  Amplitude entries are bounded
+        # by the bin width, |int psi|^2 <= L int |psi|^2, and so is their rounding.
+        config = erasure.ErasureConfig(**doc)
+        scale = max(1.0, bin_width) if born_rule == "amplitude" else 1.0
+        report = erasure.verify_equality(run_delayed_choice(config), dense_delayed_table(config), 1e-15 * scale)
+        assert report.passed, f"max deviation {report.max_deviation}"
 
 
 class TestDeterminism:

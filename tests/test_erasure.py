@@ -25,6 +25,7 @@ from helpers import (
     coverage,
     dense_delayed_table,
     fringe_visibility,
+    grid_simple_table,
     screen_amplitude,
 )
 
@@ -79,16 +80,16 @@ def array():
 
 
 class TestSlitModel:
-    def test_slit_modes_are_normalized(self, model, array):
-        nodes, weights, _ = quadrature_grid(array, 256)
+    def test_slit_modes_are_normalized(self, model):
+        nodes, weights, _ = quadrature_grid(ErasureConfig())
         for slit in (1, 2):
             psi = model.slit_amplitude(slit, nodes)
             norm = float(np.sum(weights * np.abs(psi) ** 2))
             assert norm == pytest.approx(1.0, abs=1e-6)
 
-    def test_slit_modes_are_orthogonal_at_default_gradient(self, model, array):
+    def test_slit_modes_are_orthogonal_at_default_gradient(self, model):
         # kappa * span = 3*pi, an integer multiple, so the modes decouple.
-        nodes, weights, _ = quadrature_grid(array, 256)
+        nodes, weights, _ = quadrature_grid(ErasureConfig())
         overlap = np.sum(weights * np.conj(model.slit_amplitude(1, nodes)) * model.slit_amplitude(2, nodes))
         assert abs(overlap) < 1e-12
 
@@ -129,7 +130,7 @@ class TestBinProbability:
     @pytest.mark.parametrize("label", ["1", "2", "+", "-", "+i", "-i"])
     def test_matches_analytic_oracle(self, model, array, rule, label):
         for n in (1, 5, 8, 9, 16):
-            lo, hi = array.edges(n)
+            lo, hi = array.bin_edges[n - 1 : n + 1]
             expected = analytic_bin_value(model, lo, hi, LABEL_COEFFS[label], rule)
             got = bin_probability(model, array, label, n, rule=rule)
             assert got == pytest.approx(expected, abs=1e-12)
@@ -166,17 +167,35 @@ class TestBinProbability:
 
 class TestQuadratureGrid:
     def test_nodes_fall_inside_their_bins(self, array):
-        nodes, weights, bin_index = quadrature_grid(array, 64)
+        nodes, weights, bin_index = quadrature_grid(ErasureConfig(quadrature_points=64))
         for n in range(1, array.n_bins + 1):
-            lo, hi = array.edges(n)
+            lo, hi = array.bin_edges[n - 1 : n + 1]
             chunk = nodes[bin_index == n]
             assert np.all((chunk > lo) & (chunk < hi))
         assert float(np.sum(weights)) == pytest.approx(array.span, rel=1e-12)
 
+    def test_window_edge_cuts_its_bin(self):
+        # The window edge 4 * 0.9 = 3.6 lies inside the outer bins [+-3.5, +-4]:
+        # each is cut there into two pieces of Q nodes, none astride the edge.
+        config = ErasureConfig(envelope_width=0.9, quadrature_points=8)
+        nodes, weights, bin_index = quadrature_grid(config)
+        assert nodes.size == (16 + 2) * 8
+        np.testing.assert_array_equal(np.bincount(bin_index)[1:], [16] + [8] * 14 + [16])
+        for n in (1, 16):
+            lo, hi = config.array().bin_edges[n - 1 : n + 1]
+            chunk = nodes[bin_index == n]
+            assert np.all((chunk > lo) & (chunk < hi))
+            assert np.sum(np.abs(chunk) < 3.6) == 8
+        assert float(np.sum(weights)) == pytest.approx(8.0, rel=1e-12)
+        model = config.model()
+        for slit in (1, 2):
+            norm = float(np.sum(weights * np.abs(model.slit_amplitude(slit, nodes)) ** 2))
+            assert norm == pytest.approx(1.0, abs=1e-12)
+
     def test_detector_array_geometry(self):
         array = DetectorArray(n_bins=4, bin_width=2.0)
         np.testing.assert_allclose(array.centers, [-3, -1, 1, 3])
-        assert array.edges(1) == (-4.0, -2.0)
+        np.testing.assert_array_equal(array.bin_edges, [-4.0, -2.0, 0.0, 2.0, 4.0])
         assert array.span == 8.0
 
     @pytest.mark.parametrize(
@@ -195,9 +214,9 @@ class TestQuadratureGrid:
             DetectorArray(**kwargs)
 
     @pytest.mark.parametrize("points", [0, 2.5, True, math.inf])
-    def test_points_per_bin_validation(self, array, points):
-        with pytest.raises(ValueError, match="points_per_bin"):
-            quadrature_grid(array, points)
+    def test_points_per_bin_validation(self, points):
+        with pytest.raises(ValueError, match="quadrature_points"):
+            ErasureConfig(quadrature_points=points)
 
 
 class TestSimpleErasure:
@@ -232,6 +251,18 @@ class TestSimpleErasure:
         for label, row in zip(table.labels, table.values):
             expected = [0.5 * bin_probability(model, array, label, n) for n in range(1, 17)]
             np.testing.assert_allclose(row, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-6, 1e-9])
+    @pytest.mark.parametrize("born_rule", BORN_RULES)
+    def test_small_gradient_keeps_precision(self, kappa, born_rule):
+        # (exp(i w hi) - exp(i w lo)) / (i w) cancels catastrophically as
+        # w -> 0 (2.8e-12 off at kappa = 1e-6); the sinc form does not.
+        config = ErasureConfig(phase_gradient=kappa, basis="pmi", born_rule=born_rule)
+        table = run_simple_erasure(config)
+        model, array = config.model(), config.array()
+        for label, row in zip(table.labels, table.values):
+            expected = [0.5 * bin_probability(model, array, label, n, rule=born_rule) for n in range(1, 17)]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
 class TestDelayedChoice:
@@ -292,6 +323,37 @@ class TestDelayedChoice:
             born_rule=born_rule,
             quadrature_points=points,
         )
+        # On the delayed route's own grid the tables agree at any Q.
+        u = haar_random_unitary(2, np.random.default_rng(seed))
+        report = verify_equality(
+            grid_simple_table(config, marker_unitary=u),
+            run_delayed_choice(config, marker_unitary=u),
+            tolerance=1e-9,
+        )
+        assert report.passed, f"max deviation {report.max_deviation}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        basis=st.sampled_from(BASIS_CHOICES),
+        born_rule=st.sampled_from(BORN_RULES),
+        kappa_step=st.integers(1, 7),
+        n_bins=st.sampled_from([1, 2, 4, 8, 16]),
+        points=st.integers(32, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_converges_to_closed_form_property(self, basis, born_rule, kappa_step, n_bins, points, seed):
+        # The closed-form simple route against the delayed grid.  The error
+        # grows with kappa * bin_width; one 8-wide bin at kappa = 7*pi/8 is
+        # the worst case and leaves ~5e-15 at Q = 32.
+        config = ErasureConfig(
+            phase_gradient=kappa_step * math.pi / 8.0,
+            n_bins=n_bins,
+            bin_width=8.0 / n_bins,
+            span=8.0,
+            basis=basis,
+            born_rule=born_rule,
+            quadrature_points=points,
+        )
         u = haar_random_unitary(2, np.random.default_rng(seed))
         report = verify_equality(
             run_simple_erasure(config, marker_unitary=u),
@@ -306,7 +368,7 @@ class TestDelayedChoice:
         config = ErasureConfig(n_bins=1, bin_width=8.0, quadrature_points=1)
         delayed = run_delayed_choice(config)
         np.testing.assert_allclose(delayed.values, [[1.0], [0.0]], atol=1e-12)
-        assert verify_equality(run_simple_erasure(config), delayed).passed
+        assert verify_equality(grid_simple_table(config), delayed).passed
 
     @pytest.mark.parametrize("n_bins,points", [(8, 3), (16, 256), (64, 64), (1, 1)])
     @pytest.mark.parametrize("basis", BASIS_CHOICES)
@@ -342,9 +404,10 @@ class TestDelayedChoice:
         coarse = run_delayed_choice(ErasureConfig(quadrature_points=256))
         fine = run_delayed_choice(ErasureConfig(quadrature_points=512))
         assert float(np.max(np.abs(coarse.values - fine.values))) < 1e-8
-        coarse_s = run_simple_erasure(ErasureConfig(quadrature_points=256))
-        fine_s = run_simple_erasure(ErasureConfig(quadrature_points=512))
-        assert float(np.max(np.abs(coarse_s.values - fine_s.values))) < 1e-8
+        # The simple route builds no grid, so Q cannot change its table.
+        simple = [run_simple_erasure(ErasureConfig(quadrature_points=q)) for q in (1, 256, 512)]
+        for table in simple[1:]:
+            np.testing.assert_array_equal(table.values, simple[0].values)
 
 
 class TestVerifyEquality:
@@ -410,6 +473,16 @@ class TestErasureConfig:
     def test_span_must_cover_envelope(self):
         with pytest.raises(ValueError, match="envelope"):
             ErasureConfig(envelope_width=2.0)
+        # The slack is relative, so a tiny span cannot hold a window 10x wider.
+        with pytest.raises(ValueError, match="envelope"):
+            ErasureConfig(n_bins=1, bin_width=1e-14, span=1e-14, envelope_width=1e-13)
+        ErasureConfig(envelope_width=1.0 + 1e-15)
+
+    @pytest.mark.parametrize("field", ["envelope_width", "bin_width", "phase_gradient"])
+    def test_subnormal_values_rejected(self, field):
+        # Widths below the smallest normal float keep too few bits to integrate on.
+        with pytest.raises(ValueError, match=f"{field} must be positive and not subnormal"):
+            ErasureConfig(**{field: 5e-324})
 
     def test_enum_validation(self):
         with pytest.raises(ValueError, match="basis"):

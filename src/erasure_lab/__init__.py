@@ -15,11 +15,9 @@ from .coherence import (
     search_symmetric_bases,
 )
 from .erasure import (
-    DetectorArray,
     EqualityReport,
     ErasureConfig,
     ProbabilityTable,
-    SlitModel,
     run_delayed_choice,
     run_simple_erasure,
     verify_equality,
@@ -60,13 +58,11 @@ __all__ = [
     "CorrelationOperator",
     "CutComparison",
     "DensityOperator",
-    "DetectorArray",
     "EqualityReport",
     "ErasureConfig",
     "MeasurementOutcome",
     "ProbabilityTable",
     "SchmidtDecomposition",
-    "SlitModel",
     "StateVector",
     "SymmetryClass",
     "UnitaryOperator",

@@ -102,11 +102,6 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     )
 
 
-def config_to_json(config: ExperimentConfig) -> str:
-    """Canonical serialization: sorted keys, native float repr."""
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def config_hash(config: ExperimentConfig) -> str:
     """Provenance hash of the experiment-defining keys.
 

@@ -18,12 +18,8 @@ The simple pipeline bins in closed form and only the delayed one uses a
 quadrature grid, so the maximum deviation between their tables that
 `verify_equality` reports is the delayed route's discretization error.
 
-Screen model: both slit modes share a uniform window envelope on the
-detector span and differ by opposite phase gradients +-kappa, so the
-coherence combinations (psi_1 +- psi_2)/sqrt(2) carry cos^2/sin^2 fringes
-while |psi_1|^2 = |psi_2|^2 is flat.  The modes are exactly orthogonal
-whenever kappa * span is an integer multiple of pi, which the default
-geometry satisfies (kappa = 3*pi/8, span = 8).
+The screen model, the detector bins and the quadrature size are the one
+validated `ErasureConfig`; its `slit_modes` docstring gives the formula.
 
 Detection rules: `intensity` integrates |psi|^2 over the bin (the standard
 Born rule); `amplitude` squares the integrated amplitude instead.  The
@@ -92,65 +88,6 @@ def positive_number(name: str, raw, kind: type) -> float | int:
     return value
 
 
-@dataclass(frozen=True)
-class SlitModel:
-    """Far-field two-slit screen amplitudes.
-
-    psi_j(x) = g(x) * exp(i * (-1)^j * phase_gradient * x) for j in {1, 2},
-    where g is the uniform window envelope of half-width
-    4 * envelope_width centered on the screen origin; `phase_gradient` sets
-    the fringe spacing.
-    """
-
-    envelope_width: float = 1.0
-    phase_gradient: float = 3.0 * math.pi / 8.0
-
-    def __post_init__(self):
-        for name in ("envelope_width", "phase_gradient"):
-            object.__setattr__(self, name, positive_number(name, getattr(self, name), float))
-
-    @property
-    def support_half_width(self) -> float:
-        return 4.0 * self.envelope_width
-
-    def envelope(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        height = 1.0 / math.sqrt(2.0 * self.support_half_width)
-        return np.where(np.abs(x) <= self.support_half_width, height, 0.0)
-
-    def slit_amplitude(self, slit: int, x: np.ndarray) -> np.ndarray:
-        """Amplitude of slit mode `slit` (1 or 2) at screen positions x."""
-        if slit not in (1, 2):
-            raise ValueError("slit must be 1 or 2")
-        sign = -1.0 if slit == 1 else 1.0
-        return self.envelope(x) * np.exp(1j * sign * self.phase_gradient * np.asarray(x, float))
-
-
-@dataclass(frozen=True)
-class DetectorArray:
-    """N contiguous detector bins of equal width, centered on the origin."""
-
-    n_bins: int
-    bin_width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_bins", positive_number("n_bins", self.n_bins, int))
-        object.__setattr__(self, "bin_width", positive_number("bin_width", self.bin_width, float))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return -(self.n_bins - 1) * self.bin_width / 2.0 + self.bin_width * np.arange(self.n_bins)
-
-    @property
-    def span(self) -> float:
-        return self.n_bins * self.bin_width
-
-    @property
-    def bin_edges(self) -> np.ndarray:
-        """The n_bins + 1 bin boundaries; bin n spans bin_edges[n - 1 : n + 1]."""
-        return self.bin_width * (np.arange(self.n_bins + 1) - self.n_bins / 2.0)
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(points)
@@ -210,7 +147,11 @@ class ProbabilityTable:
 
 @dataclass(frozen=True)
 class ErasureConfig:
-    """Experiment parameters; also the JSON schema of the configuration file."""
+    """The experiment and its two-slit geometry; also the JSON schema of the config file.
+
+    The validated fields define the screen window, the n_bins detector bins
+    of equal width centered on the origin, and the slit modes on them.
+    """
 
     envelope_width: float = 1.0
     phase_gradient: float = 3.0 * math.pi / 8.0
@@ -219,7 +160,7 @@ class ErasureConfig:
     span: float = 8.0
     basis: str = "pm"
     born_rule: str = "intensity"
-    quadrature_points: int = 256
+    quadrature_points: int = 64
 
     def __post_init__(self):
         for name in ("envelope_width", "phase_gradient", "bin_width", "span"):
@@ -235,11 +176,35 @@ class ErasureConfig:
         if self.span < 8.0 * self.envelope_width * (1.0 - 1e-12):
             raise ValueError("span must cover the envelope support (8 * envelope_width)")
 
-    def model(self) -> SlitModel:
-        return SlitModel(envelope_width=self.envelope_width, phase_gradient=self.phase_gradient)
+    @property
+    def support_half_width(self) -> float:
+        return 4.0 * self.envelope_width
 
-    def array(self) -> DetectorArray:
-        return DetectorArray(n_bins=self.n_bins, bin_width=self.bin_width)
+    @property
+    def bin_edges(self) -> np.ndarray:
+        """The n_bins + 1 bin boundaries; bin n spans bin_edges[n - 1 : n + 1]."""
+        return self.bin_width * (np.arange(self.n_bins + 1) - self.n_bins / 2.0)
+
+    @property
+    def centers(self) -> np.ndarray:
+        return -(self.n_bins - 1) * self.bin_width / 2.0 + self.bin_width * np.arange(self.n_bins)
+
+    def slit_modes(self, x: np.ndarray) -> np.ndarray:
+        """Both slit-mode amplitudes at screen positions x, shape (2, len(x)).
+
+        psi_j(x) = g(x) * exp(i * (-1)^j * phase_gradient * x) for j in {1, 2}:
+        both modes share the uniform window envelope g of half-width
+        support_half_width = 4 * envelope_width, centered on the screen origin,
+        and differ by opposite phase gradients +-kappa.  So the coherence
+        combinations (psi_1 +- psi_2)/sqrt(2) carry cos^2/sin^2 fringes while
+        |psi_1|^2 = |psi_2|^2 is flat.  The modes are exactly orthogonal
+        whenever kappa * span is an integer multiple of pi, which the default
+        geometry satisfies (kappa = 3*pi/8, span = 8).
+        """
+        x = np.asarray(x, dtype=float)
+        a = self.support_half_width
+        envelope = np.where(np.abs(x) <= a, 1.0 / math.sqrt(2.0 * a), 0.0)
+        return envelope * np.exp(1j * np.multiply.outer([-self.phase_gradient, self.phase_gradient], x))
 
 
 def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +214,7 @@ def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.n
     each piece gets `quadrature_points` nodes, strictly inside it, so no rule
     straddles the envelope's jump and every node belongs to one detector.
     """
-    edges, a = config.array().bin_edges, config.model().support_half_width
+    edges, a = config.bin_edges, config.support_half_width
     window = [x for x in (-a, a) if edges[0] < x < edges[-1] and x not in edges]
     cuts = np.sort(np.append(edges, window))
     mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
@@ -280,7 +245,7 @@ def _measure_marker(
     return ProbabilityTable(
         mode="whichway" if config.basis == "whichway" else pipeline,
         labels=labels,
-        centers=config.array().centers,
+        centers=config.centers,
         values=np.array([
             o.probability * readout(o.post_state.amplitudes) if o.post_state else np.zeros(config.n_bins)
             for o in outcomes
@@ -306,7 +271,7 @@ def run_simple_erasure(
     measurement (identity by default); injecting the same unitary into both
     pipelines must leave their equality intact.
     """
-    edges, a = config.array().bin_edges, config.model().support_half_width
+    edges, a = config.bin_edges, config.support_half_width
     lo, hi = np.maximum(edges[:-1], -a), np.minimum(edges[1:], a)
     length, mid = np.maximum(hi - lo, 0.0), (hi + lo) / 2.0
 
@@ -343,17 +308,12 @@ def run_delayed_choice(
     `marker_unitary` evolves the marker during the delay, after the screen
     detection and before the marker measurement.
     """
-    model = config.model()
     nodes, weights, bin_index = quadrature_grid(config)
     sqrt_w = np.sqrt(weights)
 
     # Marked pair with the screen particle expanded on the grid: grid
     # amplitudes carry sqrt(weight) so norms match the continuum integrals.
-    modes = np.array([
-        model.slit_amplitude(1, nodes) * sqrt_w,
-        model.slit_amplitude(2, nodes) * sqrt_w,
-    ])
-    coupled = StateVector((2, nodes.size), (modes * _SQRT_HALF).reshape(-1))
+    coupled = StateVector((2, nodes.size), (config.slit_modes(nodes) * sqrt_w * _SQRT_HALF).reshape(-1))
 
     def readout(post: np.ndarray) -> np.ndarray:
         if config.born_rule == "intensity":
@@ -391,7 +351,7 @@ def verify_equality(
     """
     if t1.values.shape != t2.values.shape:
         raise ValueError("tables are indexed by different outcome/bin sets")
-    if not np.allclose(t1.centers, t2.centers, atol=1e-12):
+    if not np.allclose(t1.centers, t2.centers, rtol=0.0, atol=1e-12):
         raise ValueError("tables use different detector geometries")
     diff = np.abs(t1.values - t2.values)
     flat = int(np.argmax(diff))

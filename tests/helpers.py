@@ -91,7 +91,7 @@ def couple_detector(state: StateVector, detector_init: StateVector, u: UnitaryOp
     return apply_unitary(tensor(state, detector_init), u, targets)
 
 
-def screen_amplitude(model, d: str, x) -> np.ndarray | complex:
+def screen_amplitude(config, d: str, x) -> np.ndarray | complex:
     """Screen wavefunction for outcome label d at position(s) x.
 
     The slit coefficients are the partner, under the source pair's
@@ -104,7 +104,7 @@ def screen_amplitude(model, d: str, x) -> np.ndarray | complex:
         raise ValueError(f"unknown outcome label {d!r}")
     partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
     x_arr = np.atleast_1d(np.asarray(x, float))
-    values = partner[0] * model.slit_amplitude(1, x_arr) + partner[1] * model.slit_amplitude(2, x_arr)
+    values = partner @ config.slit_modes(x_arr)
     return values if np.ndim(x) else complex(values[0])
 
 
@@ -125,11 +125,9 @@ def dense_delayed_table(config, marker_unitary=None):
     conditional state is read off its register blocks.  Oracle for the
     library route, which keeps the coupled state in the coupling's image.
     """
-    model = config.model()
     nodes, weights, bin_index = quadrature_grid(config)
     sqrt_w = np.sqrt(weights)
-    modes = np.array([model.slit_amplitude(slit, nodes) * sqrt_w for slit in (1, 2)])
-    source = StateVector((2, nodes.size), (modes * np.sqrt(0.5)).reshape(-1))
+    source = StateVector((2, nodes.size), (config.slit_modes(nodes) * sqrt_w * np.sqrt(0.5)).reshape(-1))
     coupled = couple_shift_register(source, bin_index, register_dim=config.n_bins + 1)
 
     def readout(post: np.ndarray) -> np.ndarray:
@@ -150,9 +148,8 @@ def grid_simple_table(config, marker_unitary=None):
     Oracle for checks of the delayed route's marker measurement and readout
     that must hold however coarse the grid is.
     """
-    model = config.model()
     nodes, weights, bin_index = quadrature_grid(config)
-    modes = np.array([model.slit_amplitude(slit, nodes) for slit in (1, 2)])
+    modes = config.slit_modes(nodes)
 
     def readout(partner: np.ndarray) -> np.ndarray:
         psi = partner @ modes
@@ -173,20 +170,20 @@ def _legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(points)
 
 
-def bin_probability(model, array, d: str, n: int, rule: str = "intensity", points_per_bin: int = 256):
+def bin_probability(config, d: str, n: int, rule: str = "intensity", points_per_bin: int = 256):
     """Detection value of outcome-d's screen wavefunction in 1-based bin n.
 
     `intensity` integrates |psi_d|^2 over the bin; `amplitude` is the squared
     modulus of the integrated amplitude.  The bin is integrated on its own
-    Gauss-Legendre nodes mapped onto its `array.bin_edges`, independently of
+    Gauss-Legendre nodes mapped onto its `config.bin_edges`, independently of
     the library's quadrature grid and closed form.
     """
-    if not 1 <= n <= array.n_bins:
-        raise ValueError(f"bin index {n} out of range 1..{array.n_bins}")
-    lo, hi = array.bin_edges[n - 1 : n + 1]
+    if not 1 <= n <= config.n_bins:
+        raise ValueError(f"bin index {n} out of range 1..{config.n_bins}")
+    lo, hi = config.bin_edges[n - 1 : n + 1]
     x, w = _legendre(points_per_bin)
     half = (hi - lo) / 2.0
-    psi = screen_amplitude(model, d, (lo + hi) / 2.0 + half * x)
+    psi = screen_amplitude(config, d, (lo + hi) / 2.0 + half * x)
     if rule == "intensity":
         return float(half * np.sum(w * np.abs(psi) ** 2))
     if rule == "amplitude":
@@ -194,9 +191,9 @@ def bin_probability(model, array, d: str, n: int, rule: str = "intensity", point
     raise ValueError(f"unknown Born rule {rule!r}")
 
 
-def coverage(model, array, labels=("1", "2", "+", "-", "+i", "-i"), points_per_bin: int = 256) -> float:
+def coverage(config, labels=("1", "2", "+", "-", "+i", "-i"), points_per_bin: int = 256) -> float:
     """Smallest total detection probability over the array among the labels."""
     return min(
-        sum(bin_probability(model, array, d, n, points_per_bin=points_per_bin) for n in range(1, array.n_bins + 1))
+        sum(bin_probability(config, d, n, points_per_bin=points_per_bin) for n in range(1, config.n_bins + 1))
         for d in labels
     )

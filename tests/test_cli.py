@@ -16,8 +16,8 @@ from erasure_lab.cli import (
     _ERASURE_KEYS,
     COMMANDS,
     ConfigError,
+    ExperimentConfig,
     config_hash,
-    config_to_json,
     execute,
     main,
     parse_config,
@@ -39,12 +39,17 @@ def run_cli(args):
     return main(args)
 
 
+def config_to_json(config: ExperimentConfig) -> str:
+    """Canonical serialization: sorted keys, native float repr."""
+    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 class TestParseConfig:
     def test_defaults_filled(self):
         config = parse_config('{"command": "verify"}')
         assert config.command == "verify"
         assert config.erasure.n_bins == 16
-        assert config.erasure.quadrature_points == 256
+        assert config.erasure.quadrature_points == 64
         assert config.erasure.basis == "pm"
         assert config.erasure.born_rule == "intensity"
         assert config.erasure.phase_gradient == pytest.approx(3 * math.pi / 8)

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasure_lab import (
-    DetectorArray,
     ErasureConfig,
     ProbabilityTable,
-    SlitModel,
     haar_random_unitary,
     run_delayed_choice,
     run_simple_erasure,
@@ -41,15 +39,15 @@ LABEL_COEFFS = {
 }
 
 
-def analytic_bin_value(model, a, b, coeffs, rule):
+def analytic_bin_value(config, a, b, coeffs, rule):
     """Closed-form bin integrals for the uniform-window two-slit model.
 
     psi(x) = g * (c1 e^{-i k x} + c2 e^{+i k x}) on the window, so both Born
     rules reduce to elementary integrals of complex exponentials.  Serves as
     the quadrature-independent oracle.
     """
-    k = model.phase_gradient
-    w = model.support_half_width
+    k = config.phase_gradient
+    w = config.support_half_width
     g = 1.0 / math.sqrt(2.0 * w)
     a_eff, b_eff = max(a, -w), min(b, w)
     if a_eff >= b_eff:
@@ -70,109 +68,92 @@ def analytic_bin_value(model, a, b, coeffs, rule):
 
 
 @pytest.fixture
-def model():
-    return SlitModel()
+def config():
+    return ErasureConfig()
 
 
-@pytest.fixture
-def array():
-    return DetectorArray(n_bins=16, bin_width=0.5)
+class TestSlitModes:
+    def test_slit_modes_are_normalized(self, config):
+        nodes, weights, _ = quadrature_grid(config)
+        norms = np.sum(weights * np.abs(config.slit_modes(nodes)) ** 2, axis=1)
+        np.testing.assert_allclose(norms, [1.0, 1.0], atol=1e-6)
 
-
-class TestSlitModel:
-    def test_slit_modes_are_normalized(self, model):
-        nodes, weights, _ = quadrature_grid(ErasureConfig())
-        for slit in (1, 2):
-            psi = model.slit_amplitude(slit, nodes)
-            norm = float(np.sum(weights * np.abs(psi) ** 2))
-            assert norm == pytest.approx(1.0, abs=1e-6)
-
-    def test_slit_modes_are_orthogonal_at_default_gradient(self, model):
+    def test_slit_modes_are_orthogonal_at_default_gradient(self, config):
         # kappa * span = 3*pi, an integer multiple, so the modes decouple.
-        nodes, weights, _ = quadrature_grid(ErasureConfig())
-        overlap = np.sum(weights * np.conj(model.slit_amplitude(1, nodes)) * model.slit_amplitude(2, nodes))
-        assert abs(overlap) < 1e-12
-
-    def test_positivity_validation(self):
-        with pytest.raises(ValueError):
-            SlitModel(envelope_width=0.0)
-
-    @pytest.mark.parametrize("field", ["envelope_width", "phase_gradient"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, "1"])
-    def test_non_finite_or_non_numeric_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SlitModel(**{field: value})
+        nodes, weights, _ = quadrature_grid(config)
+        psi1, psi2 = config.slit_modes(nodes)
+        assert abs(np.sum(weights * np.conj(psi1) * psi2)) < 1e-12
 
 
 class TestScreenAmplitude:
-    def test_antisymmetric_combination_vanishes_at_center(self, model):
-        assert abs(screen_amplitude(model, "-", 0.0)) < 1e-15
+    def test_antisymmetric_combination_vanishes_at_center(self, config):
+        assert abs(screen_amplitude(config, "-", 0.0)) < 1e-15
 
-    def test_symmetric_combination_doubles_at_center(self, model):
-        plus = screen_amplitude(model, "+", 0.0)
-        single = screen_amplitude(model, "1", 0.0)
+    def test_symmetric_combination_doubles_at_center(self, config):
+        plus = screen_amplitude(config, "+", 0.0)
+        single = screen_amplitude(config, "1", 0.0)
         assert plus == pytest.approx(math.sqrt(2) * single, abs=1e-15)
 
-    def test_unknown_label_rejected(self, model):
+    def test_unknown_label_rejected(self, config):
         with pytest.raises(ValueError, match="label"):
-            screen_amplitude(model, "x", 0.0)
+            screen_amplitude(config, "x", 0.0)
 
-    def test_coherence_intensities_sum_to_slit_intensities(self, model):
+    def test_coherence_intensities_sum_to_slit_intensities(self, config):
         rng = np.random.default_rng(3)
         x = rng.uniform(-4, 4, size=1000)
-        lhs = np.abs(screen_amplitude(model, "+", x)) ** 2 + np.abs(screen_amplitude(model, "-", x)) ** 2
-        rhs = np.abs(screen_amplitude(model, "1", x)) ** 2 + np.abs(screen_amplitude(model, "2", x)) ** 2
+        lhs = np.abs(screen_amplitude(config, "+", x)) ** 2 + np.abs(screen_amplitude(config, "-", x)) ** 2
+        rhs = np.abs(screen_amplitude(config, "1", x)) ** 2 + np.abs(screen_amplitude(config, "2", x)) ** 2
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestBinProbability:
     @pytest.mark.parametrize("rule", ["intensity", "amplitude"])
     @pytest.mark.parametrize("label", ["1", "2", "+", "-", "+i", "-i"])
-    def test_matches_analytic_oracle(self, model, array, rule, label):
+    def test_matches_analytic_oracle(self, config, rule, label):
         for n in (1, 5, 8, 9, 16):
-            lo, hi = array.bin_edges[n - 1 : n + 1]
-            expected = analytic_bin_value(model, lo, hi, LABEL_COEFFS[label], rule)
-            got = bin_probability(model, array, label, n, rule=rule)
+            lo, hi = config.bin_edges[n - 1 : n + 1]
+            expected = analytic_bin_value(config, lo, hi, LABEL_COEFFS[label], rule)
+            got = bin_probability(config, label, n, rule=rule)
             assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_bin_values_sum_to_one_under_intensity(self, model, array):
+    def test_bin_values_sum_to_one_under_intensity(self, config):
         for label in ("1", "2", "+", "-", "+i", "-i"):
             total = sum(
-                bin_probability(model, array, label, n) for n in range(1, array.n_bins + 1)
+                bin_probability(config, label, n) for n in range(1, config.n_bins + 1)
             )
             assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_single_bin_covering_support_is_certain(self, model):
-        whole = DetectorArray(n_bins=1, bin_width=8.0)
-        assert bin_probability(model, whole, "+", 1) == pytest.approx(1.0, abs=1e-6)
+    def test_single_bin_covering_support_is_certain(self):
+        whole = ErasureConfig(n_bins=1, bin_width=8.0)
+        assert bin_probability(whole, "+", 1) == pytest.approx(1.0, abs=1e-6)
 
     def test_node_centered_bin_is_dark(self):
         # A bin centered on the antisymmetric pattern's node: needs an odd
         # bin count so a center sits at the origin, and bins much finer than
         # the fringe so the node is resolved.
-        model = SlitModel()
-        array = DetectorArray(n_bins=17, bin_width=0.08)
-        center = 9
-        dark = bin_probability(model, array, "-", center)
-        bright = bin_probability(model, array, "+", center)
+        config = ErasureConfig(n_bins=101, bin_width=0.08, span=8.08)
+        center = 51
+        dark = bin_probability(config, "-", center)
+        bright = bin_probability(config, "+", center)
         assert dark < 1e-3 * bright
 
-    def test_bin_out_of_range(self, model, array):
+    def test_bin_out_of_range(self, config):
         with pytest.raises(ValueError, match="range"):
-            bin_probability(model, array, "+", 17)
+            bin_probability(config, "+", 17)
 
-    def test_coverage_at_default_geometry(self, model, array):
-        assert coverage(model, array) >= 1.0 - COVERAGE_TOL
+    def test_coverage_at_default_geometry(self, config):
+        assert coverage(config) >= 1.0 - COVERAGE_TOL
 
 
 class TestQuadratureGrid:
-    def test_nodes_fall_inside_their_bins(self, array):
-        nodes, weights, bin_index = quadrature_grid(ErasureConfig(quadrature_points=64))
-        for n in range(1, array.n_bins + 1):
-            lo, hi = array.bin_edges[n - 1 : n + 1]
+    def test_nodes_fall_inside_their_bins(self):
+        config = ErasureConfig(quadrature_points=64)
+        nodes, weights, bin_index = quadrature_grid(config)
+        for n in range(1, config.n_bins + 1):
+            lo, hi = config.bin_edges[n - 1 : n + 1]
             chunk = nodes[bin_index == n]
             assert np.all((chunk > lo) & (chunk < hi))
-        assert float(np.sum(weights)) == pytest.approx(array.span, rel=1e-12)
+        assert float(np.sum(weights)) == pytest.approx(config.span, rel=1e-12)
 
     def test_window_edge_cuts_its_bin(self):
         # The window edge 4 * 0.9 = 3.6 lies inside the outer bins [+-3.5, +-4]:
@@ -182,21 +163,19 @@ class TestQuadratureGrid:
         assert nodes.size == (16 + 2) * 8
         np.testing.assert_array_equal(np.bincount(bin_index)[1:], [16] + [8] * 14 + [16])
         for n in (1, 16):
-            lo, hi = config.array().bin_edges[n - 1 : n + 1]
+            lo, hi = config.bin_edges[n - 1 : n + 1]
             chunk = nodes[bin_index == n]
             assert np.all((chunk > lo) & (chunk < hi))
             assert np.sum(np.abs(chunk) < 3.6) == 8
         assert float(np.sum(weights)) == pytest.approx(8.0, rel=1e-12)
-        model = config.model()
-        for slit in (1, 2):
-            norm = float(np.sum(weights * np.abs(model.slit_amplitude(slit, nodes)) ** 2))
-            assert norm == pytest.approx(1.0, abs=1e-12)
+        norms = np.sum(weights * np.abs(config.slit_modes(nodes)) ** 2, axis=1)
+        np.testing.assert_allclose(norms, [1.0, 1.0], atol=1e-12)
 
     def test_detector_array_geometry(self):
-        array = DetectorArray(n_bins=4, bin_width=2.0)
-        np.testing.assert_allclose(array.centers, [-3, -1, 1, 3])
-        np.testing.assert_array_equal(array.bin_edges, [-4.0, -2.0, 0.0, 2.0, 4.0])
-        assert array.span == 8.0
+        config = ErasureConfig(n_bins=4, bin_width=2.0)
+        np.testing.assert_allclose(config.centers, [-3, -1, 1, 3])
+        np.testing.assert_array_equal(config.bin_edges, [-4.0, -2.0, 0.0, 2.0, 4.0])
+        assert config.span == 8.0
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -211,7 +190,7 @@ class TestQuadratureGrid:
     )
     def test_detector_array_validation(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
-            DetectorArray(**kwargs)
+            ErasureConfig(**kwargs)
 
     @pytest.mark.parametrize("points", [0, 2.5, True, math.inf])
     def test_points_per_bin_validation(self, points):
@@ -247,9 +226,8 @@ class TestSimpleErasure:
         # The steered conditional patterns coincide with the labeled ones.
         config = ErasureConfig(basis="pmi")
         table = run_simple_erasure(config)
-        model, array = config.model(), config.array()
         for label, row in zip(table.labels, table.values):
-            expected = [0.5 * bin_probability(model, array, label, n) for n in range(1, 17)]
+            expected = [0.5 * bin_probability(config, label, n) for n in range(1, 17)]
             np.testing.assert_allclose(row, expected, atol=1e-12)
 
     @pytest.mark.parametrize("kappa", [1e-6, 1e-9])
@@ -259,9 +237,8 @@ class TestSimpleErasure:
         # w -> 0 (2.8e-12 off at kappa = 1e-6); the sinc form does not.
         config = ErasureConfig(phase_gradient=kappa, basis="pmi", born_rule=born_rule)
         table = run_simple_erasure(config)
-        model, array = config.model(), config.array()
         for label, row in zip(table.labels, table.values):
-            expected = [0.5 * bin_probability(model, array, label, n, rule=born_rule) for n in range(1, 17)]
+            expected = [0.5 * bin_probability(config, label, n, rule=born_rule) for n in range(1, 17)]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
@@ -400,6 +377,27 @@ class TestDelayedChoice:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_default_quadrature_verifies_across_schema(self):
+        # Seeded draws from the domain of test_any_valid_geometry_verifies_or_fails
+        # (n_bins <= 32, bin_width <= 16, kappa <= 4, any window inside the
+        # span).  The default Q leaves every draw within the verify tolerance;
+        # at Q = 32 about 2% of them fail.
+        rng = np.random.default_rng(12)
+        for _ in range(600):
+            n_bins, bin_width = int(rng.integers(1, 33)), float(rng.uniform(2**-10, 16.0))
+            span = n_bins * bin_width
+            config = ErasureConfig(
+                envelope_width=span / 8.0 * (1.0 - rng.random()),
+                phase_gradient=4.0 * (1.0 - rng.random()),
+                n_bins=n_bins,
+                bin_width=bin_width,
+                span=span,
+                basis=str(rng.choice(BASIS_CHOICES)),
+                born_rule=str(rng.choice(BORN_RULES)),
+            )
+            report = verify_equality(run_simple_erasure(config), run_delayed_choice(config))
+            assert report.passed, f"{config}: max deviation {report.max_deviation}"
+
     def test_quadrature_refinement_is_stable(self):
         coarse = run_delayed_choice(ErasureConfig(quadrature_points=256))
         fine = run_delayed_choice(ErasureConfig(quadrature_points=512))
@@ -427,6 +425,14 @@ class TestVerifyEquality:
         a = run_simple_erasure(ErasureConfig())
         b = run_simple_erasure(ErasureConfig(n_bins=4, bin_width=2.0))
         with pytest.raises(ValueError, match="index"):
+            verify_equality(a, b)
+
+    def test_nearby_geometry_rejected(self):
+        # Centers up to 3e-5 apart: inside numpy's default relative slack of
+        # allclose, far outside the absolute 1e-12 the check means.
+        a = run_simple_erasure(ErasureConfig(bin_width=0.5))
+        b = run_simple_erasure(ErasureConfig(bin_width=0.500004, span=16 * 0.500004))
+        with pytest.raises(ValueError, match="different detector geometries"):
             verify_equality(a, b)
 
 
@@ -490,7 +496,15 @@ class TestErasureConfig:
         with pytest.raises(ValueError, match="born_rule"):
             ErasureConfig(born_rule="square")
 
+    @pytest.mark.parametrize("field", ["envelope_width", "phase_gradient"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, "1"])
+    def test_non_finite_or_non_numeric_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ErasureConfig(**{field: value})
+
     def test_positive_fields(self):
+        with pytest.raises(ValueError, match="envelope_width"):
+            ErasureConfig(envelope_width=0.0)
         with pytest.raises(ValueError, match="n_bins"):
             ErasureConfig(n_bins=-1)
         with pytest.raises(ValueError, match="quadrature_points"):

@@ -84,6 +84,10 @@ class TestSlitModes:
         psi1, psi2 = config.slit_modes(nodes)
         assert abs(np.sum(weights * np.conj(psi1) * psi2)) < 1e-12
 
+    def test_positivity_validation(self):
+        with pytest.raises(ValueError, match="envelope_width"):
+            ErasureConfig(envelope_width=0.0)
+
 
 class TestScreenAmplitude:
     def test_antisymmetric_combination_vanishes_at_center(self, config):
@@ -503,8 +507,6 @@ class TestErasureConfig:
             ErasureConfig(**{field: value})
 
     def test_positive_fields(self):
-        with pytest.raises(ValueError, match="envelope_width"):
-            ErasureConfig(envelope_width=0.0)
         with pytest.raises(ValueError, match="n_bins"):
             ErasureConfig(n_bins=-1)
         with pytest.raises(ValueError, match="quadrature_points"):

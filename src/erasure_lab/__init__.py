@@ -18,6 +18,7 @@ from .erasure import (
     EqualityReport,
     ErasureConfig,
     ProbabilityTable,
+    marker_states,
     run_delayed_choice,
     run_simple_erasure,
     verify_equality,
@@ -79,6 +80,7 @@ __all__ = [
     "haar_random_unitary",
     "is_epr_type",
     "mark_which_way",
+    "marker_states",
     "partial_trace",
     "reschmidt",
     "run_delayed_choice",

@@ -8,11 +8,10 @@ probability table p(d, n) over marker outcomes d and detector bins n:
 * simple (before-detection) erasure measures the marker first, then bins
   each conditional screen wavefunction with the chosen Born rule;
 * delayed-choice (after-detection) erasure couples the screen particle to a
-  localization register on a position grid first, measures the marker
-  afterwards, and reads the joint statistics off the composite state.  The
-  coupling is an isometry, so that state is held exactly in the coordinates
-  of its image: one amplitude per marker state and grid node, tagged with
-  the register state (the node's bin) it carries.
+  localization register on a position grid first.  A click in bin n leaves
+  the marker in its unnormalized relative state rho_M(n), a 2x2 matrix per
+  bin (`marker_states`), and the marker measurement afterwards only reads
+  it: p(d, n) = <k_d| rho_M(n) |k_d> for each basis ket k_d.
 
 The simple pipeline bins in closed form and only the delayed one uses a
 quadrature grid, so the maximum deviation between their tables that
@@ -39,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .measurement import balanced_pair, distant_measure
+from .schmidt import require_orthonormal
 from .states import StateVector, UnitaryOperator, apply_unitary
 
 SUM_TOL = 1e-6
@@ -204,7 +204,13 @@ class ErasureConfig:
         x = np.asarray(x, dtype=float)
         a = self.support_half_width
         envelope = np.where(np.abs(x) <= a, 1.0 / math.sqrt(2.0 * a), 0.0)
-        return envelope * np.exp(1j * np.multiply.outer([-self.phase_gradient, self.phase_gradient], x))
+        # psi_1 = conj(psi_2): one real cos and sin serve both modes.
+        phase = self.phase_gradient * x
+        modes = np.empty((2,) + x.shape, dtype=np.complex128)
+        modes.real = envelope * np.cos(phase)
+        modes.imag[1] = envelope * np.sin(phase)
+        np.negative(modes.imag[1], out=modes.imag[0])
+        return modes
 
 
 def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,6 +231,11 @@ def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.n
     return nodes, weights, bin_index
 
 
+def _table(config: ErasureConfig, pipeline: str, labels, values) -> ProbabilityTable:
+    mode = "whichway" if config.basis == "whichway" else pipeline
+    return ProbabilityTable(mode, labels, config.centers, values, born_rule=config.born_rule)
+
+
 def _measure_marker(
     config: ErasureConfig,
     pipeline: str,
@@ -242,16 +253,9 @@ def _measure_marker(
         state = apply_unitary(state, marker_unitary, (0,))
     labels, kets = zip(*_BASIS_KETS[config.basis])
     outcomes = distant_measure(state, (0,), kets, labels=labels)
-    return ProbabilityTable(
-        mode="whichway" if config.basis == "whichway" else pipeline,
-        labels=labels,
-        centers=config.centers,
-        values=np.array([
-            o.probability * readout(o.post_state.amplitudes) if o.post_state else np.zeros(config.n_bins)
-            for o in outcomes
-        ]),
-        born_rule=config.born_rule,
-    )
+    zero = np.zeros(config.n_bins)
+    values = [o.probability * readout(o.post_state.amplitudes) if o.post_state else zero for o in outcomes]
+    return _table(config, pipeline, labels, values)
 
 
 def run_simple_erasure(
@@ -290,23 +294,20 @@ def run_simple_erasure(
     return _measure_marker(config, "simple", balanced_pair(), marker_unitary, readout)
 
 
-def run_delayed_choice(
+def marker_states(
     config: ErasureConfig,
     marker_unitary: UnitaryOperator | None = None,
-) -> ProbabilityTable:
-    """Screen detection first, marker measurement afterwards.
+) -> np.ndarray:
+    """The marker's unnormalized relative state rho_M(n) per detector bin, shape (n_bins, 2, 2).
 
-    The screen particle is discretized on the quadrature grid and coupled to
-    a localization register (state 0 untriggered, one state per bin) by the
-    shift coupling |x>|0> -> |x>|bin(x)>.  That coupling is an isometry, so
-    the coupled state is held exactly in its image, spanned by
-    |m>|x_j>|bin_index[j]>: one coordinate per marker state m and node j, and
-    no n_bins + 1 register slots per node.  The marker is then measured on
-    the composite state, and p(d, n) is read from each conditional state's
-    coordinates whose register tag is n.
-
-    `marker_unitary` evolves the marker during the delay, after the screen
-    detection and before the marker measurement.
+    The screen particle on the quadrature grid is coupled to a localization
+    register by the shift |x>|0> -> |x>|bin(x)>, an isometry, so the coupled
+    state is held exactly in its image: one amplitude psi_m(j) per marker
+    state m and node j, tagged with the node's bin.  rho_M(n) traces out the
+    nodes tagged n: the sum of psi psi^dagger (intensity rule), or s s^dagger
+    with s the bin sum of sqrt(w) psi (amplitude rule).  Its trace is the
+    bin's detection value.  `marker_unitary` evolves the marker during the
+    delay: U rho_M(n) U^dagger.
     """
     nodes, weights, bin_index = quadrature_grid(config)
     sqrt_w = np.sqrt(weights)
@@ -314,17 +315,48 @@ def run_delayed_choice(
     # Marked pair with the screen particle expanded on the grid: grid
     # amplitudes carry sqrt(weight) so norms match the continuum integrals.
     coupled = StateVector((2, nodes.size), (config.slit_modes(nodes) * sqrt_w * _SQRT_HALF).reshape(-1))
+    psi = coupled.tensor_view()
 
-    def readout(post: np.ndarray) -> np.ndarray:
-        if config.born_rule == "intensity":
-            return np.bincount(bin_index, weights=np.abs(post) ** 2, minlength=config.n_bins + 1)[1:]
-        # Integrated amplitude of the bin-n component: undo the sqrt(w)
-        # scaling and apply the quadrature weights.
-        sums = np.zeros(config.n_bins + 1, dtype=np.complex128)
-        np.add.at(sums, bin_index, sqrt_w * post)
-        return np.abs(sums[1:]) ** 2
+    def bin_sum(values: np.ndarray) -> np.ndarray:
+        return np.bincount(bin_index, weights=values, minlength=config.n_bins + 1)[1:]
 
-    return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
+    def complex_bin_sum(values: np.ndarray) -> np.ndarray:
+        return bin_sum(values.real) + 1j * bin_sum(values.imag)
+
+    if config.born_rule == "intensity":
+        rho = np.empty((config.n_bins, 2, 2), dtype=np.complex128)
+        rho[:, 0, 0], rho[:, 1, 1] = (bin_sum(p.real**2 + p.imag**2) for p in psi)
+        rho[:, 0, 1] = complex_bin_sum(psi[0] * psi[1].conj())
+        rho[:, 1, 0] = rho[:, 0, 1].conj()
+    else:
+        # Integrated amplitude per bin: sqrt(w) * psi carries the full quadrature weight.
+        s = np.stack([complex_bin_sum(sqrt_w * p) for p in psi], axis=-1)
+        rho = s[:, :, None] * s[:, None, :].conj()
+    if marker_unitary is not None:
+        u = marker_unitary.matrix
+        rho = u @ rho @ u.conj().T
+    return rho
+
+
+def run_delayed_choice(
+    config: ErasureConfig,
+    marker_unitary: UnitaryOperator | None = None,
+) -> ProbabilityTable:
+    """Screen detection first, marker measurement afterwards.
+
+    A click in bin n leaves the marker in its relative state rho_M(n)
+    (`marker_states`), and the marker measured afterwards in basis {k_d}
+    only reads it: p(d, n) = <k_d| rho_M(n) |k_d>.  Rounding can leave a null
+    entry near -1e-17, so p is clipped at 0 as `distant_measure` clips p(d).
+
+    `marker_unitary` evolves the marker during the delay, after the screen
+    detection and before the marker measurement.
+    """
+    labels, kets = zip(*_BASIS_KETS[config.basis])
+    kets = np.array(kets)
+    require_orthonormal(kets, "measurement basis")
+    values = np.einsum("dm,nmk,dk->dn", kets.conj(), marker_states(config, marker_unitary), kets).real
+    return _table(config, "delayed", labels, np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import string
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from erasure_lab import (
     balanced_pair,
     correlation_operator,
     couple_shift_register,
+    run_simple_erasure,
     schmidt_decompose,
     tensor,
 )
@@ -160,6 +162,26 @@ def grid_simple_table(config, marker_unitary=None):
         return np.abs(sums[1:]) ** 2
 
     return _measure_marker(config, "simple", balanced_pair(), marker_unitary, readout)
+
+
+def tomography_states(config) -> np.ndarray:
+    """The marker's relative states rho_M(n), rebuilt from the simple route's tables.
+
+    The `whichway`, `pm` and `pmi` tables hold, per bin, the marker's
+    statistics in the sigma_z, sigma_x and sigma_y eigenbases, which fix each
+    2x2 rho_M(n): the diagonal is the whichway rows, Re rho_01 =
+    (p_+ - p_-)/2 and Im rho_01 = (p_-i - p_+i)/2.  Oracle for
+    `marker_states`; the simple route bins in closed form, so it shares no
+    quadrature grid with it.
+    """
+    whichway, pm, pmi = (
+        run_simple_erasure(dataclasses.replace(config, basis=basis)).values for basis in ("whichway", "pm", "pmi")
+    )
+    off = (pm[0] - pm[1]) / 2.0 + 1j * (pmi[1] - pmi[0]) / 2.0
+    rho = np.empty((config.n_bins, 2, 2), dtype=np.complex128)
+    rho[:, 0, 0], rho[:, 1, 1] = whichway
+    rho[:, 0, 1], rho[:, 1, 0] = off, off.conj()
+    return rho
 
 
 COVERAGE_TOL = 1e-6

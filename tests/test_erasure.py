@@ -12,8 +12,10 @@ from erasure_lab import (
     ErasureConfig,
     ProbabilityTable,
     haar_random_unitary,
+    marker_states,
     run_delayed_choice,
     run_simple_erasure,
+    trace_norm_distance,
     verify_equality,
 )
 from erasure_lab.erasure import BASIS_CHOICES, BORN_RULES, quadrature_grid
@@ -25,6 +27,7 @@ from helpers import (
     fringe_visibility,
     grid_simple_table,
     screen_amplitude,
+    tomography_states,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -87,6 +90,17 @@ class TestSlitModes:
     def test_positivity_validation(self):
         with pytest.raises(ValueError, match="envelope_width"):
             ErasureConfig(envelope_width=0.0)
+
+    @pytest.mark.parametrize("kappa", [math.pi / 8, 4.0])
+    def test_modes_are_conjugate_exponentials(self, kappa):
+        # A window narrower than the span leaves grid nodes where the envelope is 0.
+        config = ErasureConfig(envelope_width=0.9, phase_gradient=kappa)
+        x = quadrature_grid(config)[0]
+        modes = config.slit_modes(x)
+        assert modes[0].tobytes() == modes[1].conj().tobytes()
+        a = config.support_half_width
+        envelope = np.where(np.abs(x) <= a, 1.0 / math.sqrt(2.0 * a), 0.0)
+        assert np.array_equal(modes, envelope * np.exp(1j * np.multiply.outer([-kappa, kappa], x)))
 
 
 class TestScreenAmplitude:
@@ -349,7 +363,22 @@ class TestDelayedChoice:
         config = ErasureConfig(n_bins=1, bin_width=8.0, quadrature_points=1)
         delayed = run_delayed_choice(config)
         np.testing.assert_allclose(delayed.values, [[1.0], [0.0]], atol=1e-12)
+        assert delayed.values.min() >= 0
         assert verify_equality(grid_simple_table(config), delayed).passed
+
+    @pytest.mark.parametrize("n_bins,points,kappa,envelope_width", [(8, 3, math.pi / 2, 1.0), (4, 1, math.pi / 4, 0.9)])
+    def test_near_null_entries_are_not_negative(self, n_bins, points, kappa, envelope_width):
+        # Unclipped, <k|rho_M(n)|k> of one near-null entry here rounds to about -1e-17.
+        config = ErasureConfig(
+            envelope_width=envelope_width,
+            phase_gradient=kappa,
+            n_bins=n_bins,
+            bin_width=8.0 / n_bins,
+            basis="pmi",
+            born_rule="amplitude",
+            quadrature_points=points,
+        )
+        assert run_delayed_choice(config).values.min() >= 0
 
     @pytest.mark.parametrize("n_bins,points", [(8, 3), (16, 256), (64, 64), (1, 1)])
     @pytest.mark.parametrize("basis", BASIS_CHOICES)
@@ -359,8 +388,10 @@ class TestDelayedChoice:
         config = ErasureConfig(
             n_bins=n_bins, bin_width=8.0 / n_bins, basis=basis, born_rule=born_rule, quadrature_points=points
         )
-        report = verify_equality(run_delayed_choice(config), dense_delayed_table(config), tolerance=1e-15)
+        delayed = run_delayed_choice(config)
+        report = verify_equality(delayed, dense_delayed_table(config), tolerance=1e-15)
         assert report.passed, f"max deviation {report.max_deviation}"
+        assert delayed.values.min() >= 0
 
     def test_matches_dense_register_under_marker_evolution(self):
         config = ErasureConfig(n_bins=16, bin_width=0.5, basis="pmi", born_rule="amplitude", quadrature_points=64)
@@ -380,6 +411,18 @@ class TestDelayedChoice:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_memory_at_4096_bins(self):
+        # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.
+        # The route may hold at most 8 of them at once.
+        config = ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256)
+        tracemalloc.start()
+        try:
+            run_delayed_choice(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_default_quadrature_verifies_across_schema(self):
         # Seeded draws from the domain of test_any_valid_geometry_verifies_or_fails
@@ -410,6 +453,25 @@ class TestDelayedChoice:
         simple = [run_simple_erasure(ErasureConfig(quadrature_points=q)) for q in (1, 256, 512)]
         for table in simple[1:]:
             np.testing.assert_array_equal(table.values, simple[0].values)
+
+
+def worst_state_distance(config) -> float:
+    """Largest per-bin trace distance between marker_states and the tomography oracle."""
+    return max(map(trace_norm_distance, marker_states(config), tomography_states(config)))
+
+
+class TestMarkerStates:
+    @pytest.mark.parametrize("born_rule", BORN_RULES)
+    @pytest.mark.parametrize("n_bins", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_tomography_of_simple_route(self, k, n_bins, born_rule):
+        config = ErasureConfig(
+            phase_gradient=k * math.pi / 8, n_bins=n_bins, bin_width=8.0 / n_bins, born_rule=born_rule
+        )
+        assert worst_state_distance(config) <= 1e-14
+
+    def test_coarse_quadrature_shows_in_the_states(self):
+        assert worst_state_distance(ErasureConfig(quadrature_points=1)) > 1e-3
 
 
 class TestVerifyEquality:

@@ -5,13 +5,19 @@ screen particle whose two which-way states reach the detector plane as the
 wavefunctions of a two-slit model.  Two pipelines produce the joint
 probability table p(d, n) over marker outcomes d and detector bins n:
 
-* simple (before-detection) erasure measures the marker first, then bins
-  each conditional screen wavefunction with the chosen Born rule;
+* simple (before-detection) erasure measures the marker first: outcome d
+  leaves the screen particle in its unnormalized partner chi_d on the two
+  slit modes, and p(d, n) = <chi_d| E_n |chi_d> with E_n the closed-form
+  2x2 operator of detector bin n under the chosen Born rule;
 * delayed-choice (after-detection) erasure couples the screen particle to a
   localization register on a position grid first.  A click in bin n leaves
   the marker in its unnormalized relative state rho_M(n), a 2x2 matrix per
   bin (`marker_states`), and the marker measurement afterwards only reads
   it: p(d, n) = <k_d| rho_M(n) |k_d> for each basis ket k_d.
+
+Both compute Tr[(|k_d><k_d| x E_n) |Psi><Psi|], the simple route marker
+first and the delayed route screen first.  A free marker evolution U before
+the marker measurement enters both as the measured kets U^dagger k_d.
 
 The simple pipeline bins in closed form and only the delayed one uses a
 quadrature grid, so the maximum deviation between their tables that
@@ -33,13 +39,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .measurement import balanced_pair, distant_measure
+from .measurement import balanced_pair
 from .schmidt import require_orthonormal
-from .states import StateVector, UnitaryOperator, apply_unitary
+from .states import StateVector, UnitaryOperator, coefficient_matrix
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
@@ -236,26 +241,21 @@ def _table(config: ErasureConfig, pipeline: str, labels, values) -> ProbabilityT
     return ProbabilityTable(mode, labels, config.centers, values, born_rule=config.born_rule)
 
 
-def _measure_marker(
-    config: ErasureConfig,
-    pipeline: str,
-    state: StateVector,
-    marker_unitary: UnitaryOperator | None,
-    readout: Callable[[np.ndarray], np.ndarray],
-) -> ProbabilityTable:
-    """Evolve and measure the marker (subsystem 0); tabulate p(d) * readout(post-state).
+def _basis(config: ErasureConfig, marker_unitary: UnitaryOperator | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Outcome labels and the measured marker kets as rows, with the marker evolution folded in.
 
-    `readout` maps each outcome's conditional amplitudes to its per-bin
-    detection values, so p(d, n) = p(d) * readout_n.  A null outcome (no
-    post-state) gets a zero row.
+    Evolving the marker by U and then measuring k_d gives the statistics of
+    measuring U^dagger k_d with no evolution, so both pipelines take U as the
+    kets U^dagger k_d (as rows, kets @ conj(U)).
     """
-    if marker_unitary is not None:
-        state = apply_unitary(state, marker_unitary, (0,))
     labels, kets = zip(*_BASIS_KETS[config.basis])
-    outcomes = distant_measure(state, (0,), kets, labels=labels)
-    zero = np.zeros(config.n_bins)
-    values = [o.probability * readout(o.post_state.amplitudes) if o.post_state else zero for o in outcomes]
-    return _table(config, pipeline, labels, values)
+    kets = np.array(kets)
+    require_orthonormal(kets, "measurement basis")
+    if marker_unitary is not None:
+        if marker_unitary.dim != 2:
+            raise ValueError(f"unitary dimension {marker_unitary.dim} does not match the marker dimension 2")
+        kets = kets @ marker_unitary.matrix.conj()
+    return labels, kets
 
 
 def run_simple_erasure(
@@ -264,17 +264,23 @@ def run_simple_erasure(
 ) -> ProbabilityTable:
     """Marker measured first; conditional screen patterns binned afterwards.
 
-    Each marker outcome steers the screen particle into its partner
-    superposition c_1 psi_1 + c_2 psi_2 of slit modes, binned in closed form:
-    p(d, n) = p(d) * p_n(d).  On a bin clipped to the window |x| <= a, [lo, hi],
-    both Born rules reduce, times the squared window height 1 / (2a), to
-    I(w) = int_lo^hi exp(i w x) dx, kept precise as w -> 0 in the form
-    exp(i w m) * L * sinc(w L / 2), with L = hi - lo and m the midpoint.
+    Measuring the marker ket k_d steers the screen particle into its
+    unnormalized partner superposition chi_d = (<k_d| x 1)|source>, with
+    coefficients on the slit modes psi_1, psi_2.  Its detection value in bin n
+    is p(d, n) = <chi_d| E_n |chi_d>, where E_n is the bin's 2x2 operator on the
+    slit modes, in closed form.  On a bin clipped to the window |x| <= a,
+    [lo, hi], both Born rules reduce, times the squared window height 1 / (2a),
+    to I(w) = int_lo^hi exp(i w x) dx, kept precise as w -> 0 in the form
+    exp(i w m) * L * sinc(w L / 2), with L = hi - lo and m the midpoint:
+    E_n = [[L, I(2 kappa)], [I(-2 kappa), L]] (intensity), or conj(v) v^T with
+    v = (I(-kappa), I(kappa)) (amplitude).  This is the delayed route's trace
+    taken in the opposite order, marker first.
 
     `marker_unitary` is an optional free evolution of the marker before its
     measurement (identity by default); injecting the same unitary into both
     pipelines must leave their equality intact.
     """
+    labels, kets = _basis(config, marker_unitary)
     edges, a = config.bin_edges, config.support_half_width
     lo, hi = np.maximum(edges[:-1], -a), np.minimum(edges[1:], a)
     length, mid = np.maximum(hi - lo, 0.0), (hi + lo) / 2.0
@@ -283,21 +289,18 @@ def run_simple_erasure(
         return np.exp(1j * omega * mid) * length * np.sinc(omega * length / (2.0 * math.pi))
 
     kappa = config.phase_gradient
-    fringe, left, right = integral(2.0 * kappa), integral(-kappa), integral(kappa)
+    # E_n as a (2, 2, n_bins) array: slit-mode row, slit-mode column, bin.
+    if config.born_rule == "amplitude":
+        v = np.array([integral(-kappa), integral(kappa)])
+        bin_operator = v.conj()[:, None] * v[None, :]
+    else:
+        bin_operator = np.array([[length, integral(2.0 * kappa)], [integral(-2.0 * kappa), length]])
+    partners = kets.conj() @ coefficient_matrix(balanced_pair(), (0,))
+    values = np.einsum("dj,jkn,dk->dn", partners.conj(), bin_operator, partners).real / (2.0 * a)
+    return _table(config, "simple", labels, np.maximum(values, 0.0))
 
-    def readout(partner: np.ndarray) -> np.ndarray:
-        c1, c2 = partner
-        if config.born_rule == "amplitude":
-            return np.abs(c1 * left + c2 * right) ** 2 / (2.0 * a)
-        return ((abs(c1) ** 2 + abs(c2) ** 2) * length + 2.0 * np.real(np.conj(c1) * c2 * fringe)) / (2.0 * a)
 
-    return _measure_marker(config, "simple", balanced_pair(), marker_unitary, readout)
-
-
-def marker_states(
-    config: ErasureConfig,
-    marker_unitary: UnitaryOperator | None = None,
-) -> np.ndarray:
+def marker_states(config: ErasureConfig) -> np.ndarray:
     """The marker's unnormalized relative state rho_M(n) per detector bin, shape (n_bins, 2, 2).
 
     The screen particle on the quadrature grid is coupled to a localization
@@ -306,8 +309,7 @@ def marker_states(
     state m and node j, tagged with the node's bin.  rho_M(n) traces out the
     nodes tagged n: the sum of psi psi^dagger (intensity rule), or s s^dagger
     with s the bin sum of sqrt(w) psi (amplitude rule).  Its trace is the
-    bin's detection value.  `marker_unitary` evolves the marker during the
-    delay: U rho_M(n) U^dagger.
+    bin's detection value.
     """
     nodes, weights, bin_index = quadrature_grid(config)
     sqrt_w = np.sqrt(weights)
@@ -332,9 +334,6 @@ def marker_states(
         # Integrated amplitude per bin: sqrt(w) * psi carries the full quadrature weight.
         s = np.stack([complex_bin_sum(sqrt_w * p) for p in psi], axis=-1)
         rho = s[:, :, None] * s[:, None, :].conj()
-    if marker_unitary is not None:
-        u = marker_unitary.matrix
-        rho = u @ rho @ u.conj().T
     return rho
 
 
@@ -346,16 +345,15 @@ def run_delayed_choice(
 
     A click in bin n leaves the marker in its relative state rho_M(n)
     (`marker_states`), and the marker measured afterwards in basis {k_d}
-    only reads it: p(d, n) = <k_d| rho_M(n) |k_d>.  Rounding can leave a null
-    entry near -1e-17, so p is clipped at 0 as `distant_measure` clips p(d).
+    only reads it: p(d, n) = <k_d| rho_M(n) |k_d>.  This is the simple
+    route's trace taken in the opposite order, screen first.  Rounding can
+    leave a null entry near -1e-17, so p is clipped at 0.
 
     `marker_unitary` evolves the marker during the delay, after the screen
     detection and before the marker measurement.
     """
-    labels, kets = zip(*_BASIS_KETS[config.basis])
-    kets = np.array(kets)
-    require_orthonormal(kets, "measurement basis")
-    values = np.einsum("dm,nmk,dk->dn", kets.conj(), marker_states(config, marker_unitary), kets).real
+    labels, kets = _basis(config, marker_unitary)
+    values = np.einsum("dm,nmk,dk->dn", kets.conj(), marker_states(config), kets).real
     return _table(config, "delayed", labels, np.maximum(values, 0.0))
 
 

@@ -28,13 +28,12 @@ NULL_OUTCOME_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One selective outcome: label, Born probability, conditional remainder state.
+    """One selective outcome: Born probability and conditional remainder state.
 
     `post_state` is None for outcomes of (numerically) zero probability; such
     outcomes are retained so outcome sets always mirror the basis.
     """
 
-    label: str
     probability: float
     post_state: StateVector | None
 
@@ -79,9 +78,8 @@ def distant_measure(
     state: StateVector,
     split: Sequence[int],
     basis: Sequence[VectorLike],
-    labels: Sequence[str] | None = None,
 ) -> list[MeasurementOutcome]:
-    """Measure the `split` subsystems in `basis`; return all outcomes.
+    """Measure the `split` subsystems in `basis`; return all outcomes, in basis order.
 
     Outcome k has probability ||(<b_k| x 1)|state>||^2 and the normalized
     projection as its conditional state on the remaining subsystems.  The
@@ -96,10 +94,6 @@ def distant_measure(
     if vectors.ndim != 2 or vectors.shape[1] != d_meas:
         raise ValueError(f"basis vectors must have dimension {d_meas}")
     require_orthonormal(vectors, "measurement basis")
-    if labels is None:
-        labels = [str(k) for k in range(len(vectors))]
-    elif len(labels) != len(vectors):
-        raise ValueError("need one label per basis vector")
 
     projections = vectors.conj() @ psi
     probabilities = np.einsum("kr,kr->k", projections, projections.conj()).real
@@ -115,10 +109,10 @@ def distant_measure(
     for k, p in enumerate(probabilities):
         p = float(max(p, 0.0))
         if p <= NULL_OUTCOME_TOL:
-            outcomes.append(MeasurementOutcome(str(labels[k]), p, None))
+            outcomes.append(MeasurementOutcome(p, None))
         else:
             post = StateVector(rest_dims, projections[k] / np.sqrt(p))
-            outcomes.append(MeasurementOutcome(str(labels[k]), p, post))
+            outcomes.append(MeasurementOutcome(p, post))
     return outcomes
 
 

@@ -15,11 +15,12 @@ from erasure_lab import (
     balanced_pair,
     correlation_operator,
     couple_shift_register,
+    distant_measure,
     run_simple_erasure,
     schmidt_decompose,
     tensor,
 )
-from erasure_lab.erasure import _BASIS_KETS, _measure_marker, quadrature_grid
+from erasure_lab.erasure import _BASIS_KETS, _table, quadrature_grid
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -117,6 +118,24 @@ def fringe_visibility(pattern) -> float:
         raise ValueError("empty pattern")
     hi, lo = float(values.max()), float(values.min())
     return 0.0 if hi + lo == 0.0 else (hi - lo) / (hi + lo)
+
+
+def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, readout):
+    """Evolve and measure the marker (subsystem 0); tabulate p(d) * readout(post-state).
+
+    The Schroedinger-picture route the library folds into its measured kets:
+    the state itself is evolved by `apply_unitary` and measured by
+    `distant_measure`.  `readout` maps each outcome's conditional amplitudes to
+    its per-bin detection values.  A null outcome (no post-state) gets a zero
+    row.
+    """
+    if marker_unitary is not None:
+        state = apply_unitary(state, marker_unitary, (0,))
+    labels, kets = zip(*_BASIS_KETS[config.basis])
+    outcomes = distant_measure(state, (0,), kets)
+    zero = np.zeros(config.n_bins)
+    values = [o.probability * readout(o.post_state.amplitudes) if o.post_state else zero for o in outcomes]
+    return _table(config, pipeline, labels, values)
 
 
 def dense_delayed_table(config, marker_unitary=None):

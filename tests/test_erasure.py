@@ -1,5 +1,6 @@
 """Screen model, detector binning, and the two erasure pipelines."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -240,12 +241,15 @@ class TestSimpleErasure:
             table = run_simple_erasure(ErasureConfig(basis=basis))
             np.testing.assert_allclose(table.values.sum(axis=1), [0.5, 0.5], atol=1e-6)
 
-    def test_rows_match_labeled_bin_probabilities(self):
-        # The steered conditional patterns coincide with the labeled ones.
-        config = ErasureConfig(basis="pmi")
+    @pytest.mark.parametrize("basis", BASIS_CHOICES)
+    @pytest.mark.parametrize("born_rule", BORN_RULES)
+    def test_rows_match_labeled_bin_probabilities(self, basis, born_rule):
+        # The steered conditional patterns coincide with the labeled ones,
+        # integrated per bin independently of the closed-form E_n.
+        config = ErasureConfig(basis=basis, born_rule=born_rule)
         table = run_simple_erasure(config)
         for label, row in zip(table.labels, table.values):
-            expected = [0.5 * bin_probability(config, label, n) for n in range(1, 17)]
+            expected = [0.5 * bin_probability(config, label, n, rule=born_rule) for n in range(1, 17)]
             np.testing.assert_allclose(row, expected, atol=1e-12)
 
     @pytest.mark.parametrize("kappa", [1e-6, 1e-9])
@@ -290,6 +294,12 @@ class TestDelayedChoice:
             delayed = run_delayed_choice(config, marker_unitary=u)
             assert verify_equality(simple, delayed).passed
             assert not np.allclose(simple.values, baseline.values, atol=1e-3)
+
+    @pytest.mark.parametrize("run", [run_simple_erasure, run_delayed_choice])
+    def test_marker_unitary_of_wrong_dimension_rejected(self, run):
+        u = haar_random_unitary(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unitary dimension 3 does not match"):
+            run(ErasureConfig(), marker_unitary=u)
 
     def test_single_bin_detection_is_certain(self):
         config = ErasureConfig(n_bins=1, bin_width=8.0, span=8.0)
@@ -350,12 +360,17 @@ class TestDelayedChoice:
             quadrature_points=points,
         )
         u = haar_random_unitary(2, np.random.default_rng(seed))
-        report = verify_equality(
-            run_simple_erasure(config, marker_unitary=u),
-            run_delayed_choice(config, marker_unitary=u),
-            tolerance=1e-9,
-        )
+        simple = run_simple_erasure(config, marker_unitary=u)
+        delayed = run_delayed_choice(config, marker_unitary=u)
+        report = verify_equality(simple, delayed, tolerance=1e-9)
         assert report.passed, f"max deviation {report.max_deviation}"
+        # No signalling: neither the marker basis nor its evolution moves the
+        # screen marginal, so both routes' column sums equal the U-free
+        # which-way ones.
+        marginal = run_simple_erasure(dataclasses.replace(config, basis="whichway")).values.sum(axis=0)
+        bound = 1e-12 * max(1.0, float(marginal.max()))
+        for table in (simple, delayed):
+            np.testing.assert_allclose(table.values.sum(axis=0), marginal, rtol=0, atol=bound)
 
     def test_null_outcome_gives_zero_row(self):
         # One node at the origin, where psi_1 = psi_2: the grid state has no

@@ -79,8 +79,7 @@ class TestDistantMeasure:
     def test_coherence_outcomes_steer_partner_states(self, balanced_pair):
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
-        outcomes = distant_measure(balanced_pair, (0,), [plus, minus], labels=["+", "-"])
-        assert outcomes[0].label == "+"
+        outcomes = distant_measure(balanced_pair, (0,), [plus, minus])
         np.testing.assert_allclose(outcomes[0].post_state.amplitudes, plus, atol=1e-12)
         np.testing.assert_allclose(outcomes[1].post_state.amplitudes, minus, atol=1e-12)
 
@@ -106,8 +105,8 @@ class TestDistantMeasure:
     def test_outcome_probability_range_enforced(self):
         for p in (-0.1, 1.0 + 1e-9, float("nan")):
             with pytest.raises(ValueError, match="probability"):
-                MeasurementOutcome("x", p, None)
-        assert MeasurementOutcome("x", 1.0 + 1e-13, None).probability == 1.0 + 1e-13
+                MeasurementOutcome(p, None)
+        assert MeasurementOutcome(1.0 + 1e-13, None).probability == 1.0 + 1e-13
 
     def test_incomplete_basis_rejected(self, balanced_pair):
         with pytest.raises(ValueError, match="incomplete"):

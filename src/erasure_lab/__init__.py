@@ -25,7 +25,6 @@ from .erasure import (
 )
 from .measurement import (
     CutComparison,
-    MeasurementOutcome,
     balanced_pair,
     couple_shift_register,
     cut_compare,
@@ -61,7 +60,6 @@ __all__ = [
     "DensityOperator",
     "EqualityReport",
     "ErasureConfig",
-    "MeasurementOutcome",
     "ProbabilityTable",
     "SchmidtDecomposition",
     "StateVector",

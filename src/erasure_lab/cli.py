@@ -242,8 +242,8 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     )
     evolved = (u_joint.matrix @ kets.T).T
 
-    outcomes = measurement.distant_measure(state, (0, 1), list(evolved))
-    result = measurement.cut_compare(state, (0, 1), outcomes, compare=(2,))
+    relative = measurement.distant_measure(state, (0, 1), list(evolved))
+    result = measurement.cut_compare(state, (0, 1), relative, compare=(2,))
     if not result.branches_complete:
         raise RuntimeError("cut-demo branches unexpectedly incomplete")
     return result.distance

@@ -37,7 +37,7 @@ class CoherenceBasisParams:
 
     The first vector is ``e^{i lam} p |1> + e^{i delta} q |2>`` with
     0 < p < 1 and q = sqrt(1 - p^2); `gamma` is the free overall phase of the
-    second vector.  Angles are wrapped into [0, 2*pi).
+    second vector.  Angles must be finite and are wrapped into [0, 2*pi).
     """
 
     p: float
@@ -49,6 +49,8 @@ class CoherenceBasisParams:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
         for name in ("lam", "delta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite angle")
             object.__setattr__(self, name, float(getattr(self, name)) % _TWO_PI)
 
     @property

@@ -377,8 +377,10 @@ def verify_equality(
 
     Entries are compared positionally (outcome slot by outcome slot), so
     tables from different pipelines or bases can be set against each other
-    as long as their shapes and detector geometries agree.
+    as long as their shapes and detector geometries agree.  `tolerance` must
+    be a positive finite number, the rule the CLI applies to its own.
     """
+    tolerance = positive_number("tolerance", tolerance, float)
     if t1.values.shape != t2.values.shape:
         raise ValueError("tables are indexed by different outcome/bin sets")
     if not np.allclose(t1.centers, t2.centers, rtol=0.0, atol=1e-12):
@@ -389,7 +391,7 @@ def verify_equality(
     max_dev = float(diff[i, j])
     return EqualityReport(
         max_deviation=max_dev,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=bool(max_dev <= tolerance),
         worst_label=t1.labels[i],
         worst_bin=int(j + 1),

@@ -6,9 +6,10 @@ interaction, purely through the correlations.  Coupling a subsystem to a
 detector register relocates that correlation onto the enlarged system
 without changing the Schmidt structure seen from the untouched side.
 
-Measurement here is selective and ideal (von Neumann); a non-selective
-measurement is represented by its full outcome list, each outcome weighted
-by its probability.
+Measurement here is ideal (von Neumann).  Each outcome is represented by
+its relative state (<b_k| x 1)|Psi>, left unnormalized: its squared norm is
+the outcome's Born probability, and a non-selective measurement is the sum
+of the outcomes' |r_k><r_k|.
 """
 
 from __future__ import annotations
@@ -23,23 +24,6 @@ from .schmidt import VectorLike, _as_vector, require_orthonormal
 from .states import StateVector, _partition, coefficient_matrix, partial_trace, trace_norm_distance
 
 COMPLETENESS_TOL = 1e-10
-NULL_OUTCOME_TOL = 1e-14
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    """One selective outcome: Born probability and conditional remainder state.
-
-    `post_state` is None for outcomes of (numerically) zero probability; such
-    outcomes are retained so outcome sets always mirror the basis.
-    """
-
-    probability: float
-    post_state: StateVector | None
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0 + 1e-12:
-            raise ValueError(f"outcome probability {self.probability} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -78,42 +62,29 @@ def distant_measure(
     state: StateVector,
     split: Sequence[int],
     basis: Sequence[VectorLike],
-) -> list[MeasurementOutcome]:
-    """Measure the `split` subsystems in `basis`; return all outcomes, in basis order.
+) -> np.ndarray:
+    """Measure the `split` subsystems in `basis`; return each outcome's relative state.
 
-    Outcome k has probability ||(<b_k| x 1)|state>||^2 and the normalized
-    projection as its conditional state on the remaining subsystems.  The
-    basis must be orthonormal and complete on the measured part's support
-    (probabilities must sum to 1).
+    Row k of the (len(basis), d_rest) result is (<b_k| x 1)|state>, the
+    unnormalized state outcome k leaves on the remaining subsystems,
+    flattened in their row-major order.  Its squared norm is the Born
+    probability of outcome k.  The basis must be orthonormal and complete on
+    the measured part's support (probabilities must sum to 1).
     """
     psi = coefficient_matrix(state, split)
-    rest_dims = tuple(state.dims[i] for i in _partition(state.dims, split)[1])
-    d_meas = psi.shape[0]
-
     vectors = np.array([_as_vector(b) for b in basis])
-    if vectors.ndim != 2 or vectors.shape[1] != d_meas:
-        raise ValueError(f"basis vectors must have dimension {d_meas}")
+    if vectors.ndim != 2 or vectors.shape[1] != psi.shape[0]:
+        raise ValueError(f"basis vectors must have dimension {psi.shape[0]}")
     require_orthonormal(vectors, "measurement basis")
 
-    projections = vectors.conj() @ psi
-    probabilities = np.einsum("kr,kr->k", projections, projections.conj()).real
-
-    total = float(np.sum(probabilities))
+    relative = vectors.conj() @ psi
+    total = float(np.vdot(relative, relative).real)
     if not total >= 1.0 - COMPLETENESS_TOL:
         raise ValueError(
             f"measurement basis is incomplete on the state's support "
             f"(probabilities sum to {total!r})"
         )
-
-    outcomes = []
-    for k, p in enumerate(probabilities):
-        p = float(max(p, 0.0))
-        if p <= NULL_OUTCOME_TOL:
-            outcomes.append(MeasurementOutcome(p, None))
-        else:
-            post = StateVector(rest_dims, projections[k] / np.sqrt(p))
-            outcomes.append(MeasurementOutcome(p, post))
-    return outcomes
+    return relative
 
 
 def couple_shift_register(
@@ -140,16 +111,17 @@ def couple_shift_register(
 def cut_compare(
     global_state: StateVector,
     split: Sequence[int],
-    outcomes: Sequence[MeasurementOutcome],
+    relative: np.ndarray,
     compare: Sequence[int] | None = None,
 ) -> CutComparison:
     """Ignorance mixture of measurement outcomes vs the traced-out global state.
 
-    `split` names the measured subsystems (post-measurement states live on
-    the complement); `compare` names the global subsystems on which the two
-    descriptions are compared, defaulting to the whole complement.  Outcomes
-    without a post-state carry no weight and are skipped.  When the outcome
-    set is complete the two are the same operator and the distance
+    `split` names the measured subsystems and `relative` holds one
+    unnormalized relative state per outcome on the complement, as rows in
+    the layout `distant_measure` returns; the mixture is the sum of their
+    |r_k><r_k|.  `compare` names the global subsystems on which the two
+    descriptions are compared, defaulting to the whole complement.  When the
+    outcome set is complete the two are the same operator and the distance
     vanishes; an incomplete set is flagged and the (large) distance returned
     as a diagnostic.
     """
@@ -158,20 +130,19 @@ def cut_compare(
     for i in compare:
         if i not in rest:
             raise ValueError(f"subsystem {i} is not part of the unmeasured remainder")
+    rest_dims = tuple(global_state.dims[i] for i in rest)
+    relative = np.asarray(relative)
+    if relative.ndim != 2 or relative.shape[1] != math.prod(rest_dims):
+        raise ValueError("relative states do not match the unmeasured remainder")
 
     improper = partial_trace(global_state, compare)
 
-    # Post-state axes in `compare` order, then the (possibly empty) rest.
-    local = tuple(rest.index(i) for i in compare)
-    axes = local + tuple(k for k in range(len(rest)) if k not in local)
-    realized = [o for o in outcomes if o.post_state is not None]
-    mixture = np.zeros((improper.dim, improper.dim), dtype=np.complex128)
-    for outcome in realized:
-        if outcome.post_state.dims != tuple(global_state.dims[i] for i in rest):
-            raise ValueError("outcome state dimensions do not match the unmeasured remainder")
-        psi = outcome.post_state.tensor_view().transpose(axes).reshape(improper.dim, -1)
-        mixture = mixture + outcome.probability * (psi @ psi.conj().T)
+    # Axes: outcome, the remainder's in `compare` order, the (possibly empty) rest.
+    order = [rest.index(i) for i in compare] + [k for k, i in enumerate(rest) if i not in compare]
+    branches = relative.reshape((-1,) + rest_dims).transpose([0] + [1 + k for k in order])
+    branches = branches.reshape(len(relative), improper.dim, relative.shape[1] // improper.dim)
+    mixture = np.einsum("kio,kjo->ij", branches, branches.conj())
 
     distance = trace_norm_distance(improper.matrix, mixture)
-    complete = abs(sum(o.probability for o in realized) - 1.0) <= COMPLETENESS_TOL
+    complete = abs(float(np.vdot(relative, relative).real) - 1.0) <= COMPLETENESS_TOL
     return CutComparison(distance=distance, branches_complete=complete)

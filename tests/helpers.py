@@ -61,14 +61,9 @@ def partial_trace_oracle(rho: np.ndarray, dims, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def ensemble_density(outcomes) -> np.ndarray:
-    """Weighted mixture sum_k p_k |post_k><post_k| over the realized outcomes."""
-    realized = [o for o in outcomes if o.post_state is not None]
-    dim = realized[0].post_state.amplitudes.size
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for o in realized:
-        rho += o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj())
-    return rho
+def ensemble_density(relative) -> np.ndarray:
+    """Non-selective mixture sum_k |r_k><r_k| of unnormalized relative states."""
+    return sum(np.outer(r, r.conj()) for r in relative)
 
 
 def controlled_shift_unitary(control_dim: int, register_dim: int, shifts) -> UnitaryOperator:
@@ -125,16 +120,17 @@ def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, r
 
     The Schroedinger-picture route the library folds into its measured kets:
     the state itself is evolved by `apply_unitary` and measured by
-    `distant_measure`.  `readout` maps each outcome's conditional amplitudes to
-    its per-bin detection values.  A null outcome (no post-state) gets a zero
-    row.
+    `distant_measure`.  `readout` maps each outcome's normalized conditional
+    amplitudes to its per-bin detection values.  A null outcome (p <= 1e-14)
+    gets a zero row.
     """
     if marker_unitary is not None:
         state = apply_unitary(state, marker_unitary, (0,))
     labels, kets = zip(*_BASIS_KETS[config.basis])
-    outcomes = distant_measure(state, (0,), kets)
+    relative = distant_measure(state, (0,), kets)
+    probabilities = np.einsum("kr,kr->k", relative, relative.conj()).real
     zero = np.zeros(config.n_bins)
-    values = [o.probability * readout(o.post_state.amplitudes) if o.post_state else zero for o in outcomes]
+    values = [p * readout(r / np.sqrt(p)) if p > 1e-14 else zero for p, r in zip(probabilities.tolist(), relative)]
     return _table(config, pipeline, labels, values)
 
 

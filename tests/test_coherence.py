@@ -22,6 +22,7 @@ from erasure_lab import (
     StateVector,
 )
 from erasure_lab.coherence import search_results_csv
+from erasure_lab.erasure import _BASIS_KETS
 
 SQRT_HALF = math.sqrt(0.5)
 TWO_PI = 2 * math.pi
@@ -76,6 +77,12 @@ class TestCoherencePair:
         for p in (1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="between"):
                 CoherenceBasisParams(p=p)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam", "delta", "gamma"])
+    def test_non_finite_angles_rejected(self, field, angle):
+        with pytest.raises(ValueError, match=field):
+            CoherenceBasisParams.balanced(**{field: angle})
 
     def test_q_completes_the_modulus(self):
         params = CoherenceBasisParams(p=0.6)
@@ -214,6 +221,17 @@ class TestSearchSymmetricBases:
             found = [(round(p.delta / TWO_PI * steps), c) for p, c in search_symmetric_bases(steps)]
             assert sorted(found, key=lambda h: (h[1].value, h[0])) == found
             assert set(found) == reduced and len(found) == len(reduced)
+
+    @pytest.mark.parametrize(
+        "choice, delta, cls",
+        [("pm", 0.0, SymmetryClass.TERMWISE_SYMMETRIC), ("pmi", math.pi / 2, SymmetryClass.TERM_SWAPPING)],
+    )
+    def test_erasure_bases_are_the_two_symmetric_bases(self, choice, delta, cls):
+        # The coherence bases the erasure routes measure are the two the
+        # search singles out: the two experiments of Scully et al.
+        (params,) = [p for p, c in search_symmetric_bases(16) if c is cls and abs(p.delta - delta) < 1e-12]
+        for found, (_, ket) in zip(coherence_pair(params), _BASIS_KETS[choice]):
+            assert abs(np.vdot(found.amplitudes, ket)) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_steps_validation(self):
         with pytest.raises(ValueError):

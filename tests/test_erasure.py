@@ -502,6 +502,12 @@ class TestVerifyEquality:
         assert not report.passed
         assert report.max_deviation > 0.01
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        table = run_simple_erasure(ErasureConfig())
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_equality(table, table, tolerance)
+
     def test_shape_mismatch_rejected(self):
         a = run_simple_erasure(ErasureConfig())
         b = run_simple_erasure(ErasureConfig(n_bins=4, bin_width=2.0))

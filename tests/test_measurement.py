@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from erasure_lab import (
-    MeasurementOutcome,
     StateVector,
     apply_unitary,
     basis_state,
@@ -71,42 +70,36 @@ class TestMarkWhichWay:
 
 class TestDistantMeasure:
     def test_which_way_outcomes(self, balanced_pair):
-        outcomes = distant_measure(balanced_pair, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        assert [o.probability for o in outcomes] == pytest.approx([0.5, 0.5], abs=1e-12)
-        np.testing.assert_allclose(outcomes[0].post_state.amplitudes, [1, 0], atol=1e-12)
-        np.testing.assert_allclose(outcomes[1].post_state.amplitudes, [0, 1], atol=1e-12)
+        relative = distant_measure(balanced_pair, (0,), [np.eye(2)[0], np.eye(2)[1]])
+        norms = np.linalg.norm(relative, axis=1)
+        assert list(norms**2) == pytest.approx([0.5, 0.5], abs=1e-12)
+        np.testing.assert_allclose(relative[0] / norms[0], [1, 0], atol=1e-12)
+        np.testing.assert_allclose(relative[1] / norms[1], [0, 1], atol=1e-12)
 
     def test_coherence_outcomes_steer_partner_states(self, balanced_pair):
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
-        outcomes = distant_measure(balanced_pair, (0,), [plus, minus])
-        np.testing.assert_allclose(outcomes[0].post_state.amplitudes, plus, atol=1e-12)
-        np.testing.assert_allclose(outcomes[1].post_state.amplitudes, minus, atol=1e-12)
+        relative = distant_measure(balanced_pair, (0,), [plus, minus])
+        np.testing.assert_allclose(relative[0] / np.linalg.norm(relative[0]), plus, atol=1e-12)
+        np.testing.assert_allclose(relative[1] / np.linalg.norm(relative[1]), minus, atol=1e-12)
 
     def test_product_state_is_not_steered(self, rng):
         phi = random_state(rng, (3,))
         joint = tensor(StateVector((2,), [SQRT_HALF, SQRT_HALF]), phi)
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
-        outcomes = distant_measure(joint, (0,), [plus, minus])
-        for outcome in outcomes:
-            if outcome.post_state is None:
+        for row in distant_measure(joint, (0,), [plus, minus]):
+            norm = np.linalg.norm(row)
+            if norm <= 1e-7:
                 continue
-            overlap = abs(np.vdot(outcome.post_state.amplitudes, phi.amplitudes))
+            overlap = abs(np.vdot(row / norm, phi.amplitudes))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_outcome_retained(self):
         joint = tensor(basis_state((2,), (0,)), basis_state((2,), (0,)))
-        outcomes = distant_measure(joint, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        assert outcomes[1].probability == 0.0
-        assert outcomes[1].post_state is None
-        assert len(outcomes) == 2
-
-    def test_outcome_probability_range_enforced(self):
-        for p in (-0.1, 1.0 + 1e-9, float("nan")):
-            with pytest.raises(ValueError, match="probability"):
-                MeasurementOutcome(p, None)
-        assert MeasurementOutcome(1.0 + 1e-13, None).probability == 1.0 + 1e-13
+        relative = distant_measure(joint, (0,), [np.eye(2)[0], np.eye(2)[1]])
+        assert relative.shape == (2, 2)
+        assert np.linalg.norm(relative[1]) == 0.0
 
     def test_incomplete_basis_rejected(self, balanced_pair):
         with pytest.raises(ValueError, match="incomplete"):
@@ -123,9 +116,9 @@ class TestDistantMeasure:
         for _ in range(100):
             state = random_state(rng, (3, 4))
             basis = haar_random_unitary(3, rng).matrix.T
-            outcomes = distant_measure(state, (0,), list(basis))
+            relative = distant_measure(state, (0,), list(basis))
             rho = partial_trace(state, keep=(1,))
-            np.testing.assert_allclose(ensemble_density(outcomes), rho.matrix, atol=1e-10)
+            np.testing.assert_allclose(ensemble_density(relative), rho.matrix, atol=1e-10)
 
 
 class TestCoupleDetector:
@@ -221,34 +214,40 @@ class TestCutCompare:
     def test_compare_order_is_respected(self, rng, compare):
         # (2, 1) covers the whole remainder in reversed order.
         state = random_state(rng, (2, 2, 3))
-        outcomes = distant_measure(state, (0,), [[1.0, 0.0], [0.0, 1.0]])
-        result = cut_compare(state, (0,), outcomes, compare=compare)
+        relative = distant_measure(state, (0,), [[1.0, 0.0], [0.0, 1.0]])
+        result = cut_compare(state, (0,), relative, compare=compare)
         assert result.branches_complete
         assert result.distance < 1e-12
 
     def test_complete_branches_match_partial_trace(self, balanced_pair):
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
-        outcomes = distant_measure(balanced_pair, (0,), [plus, minus])
-        result = cut_compare(balanced_pair, (0,), outcomes)
+        relative = distant_measure(balanced_pair, (0,), [plus, minus])
+        result = cut_compare(balanced_pair, (0,), relative)
         assert result.branches_complete
         assert result.distance < 1e-10
 
     def test_single_branch_of_product_state(self, rng):
         phi = random_state(rng, (2,))
         joint = tensor(basis_state((2,), (0,)), phi)
-        outcomes = distant_measure(joint, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        result = cut_compare(joint, (0,), outcomes)
+        relative = distant_measure(joint, (0,), [np.eye(2)[0], np.eye(2)[1]])
+        result = cut_compare(joint, (0,), relative)
         assert result.branches_complete
         assert result.distance == pytest.approx(0.0, abs=1e-14)
 
     def test_dropped_branch_distance(self, balanced_pair):
         # Keeping only the first which-way branch: the mixture misses half
         # the weight, and tr|1/2 I - 1/2 |0><0|| = 0.5.
-        outcomes = distant_measure(balanced_pair, (0,), [np.eye(2)[0], np.eye(2)[1]])
-        result = cut_compare(balanced_pair, (0,), outcomes[:1])
+        relative = distant_measure(balanced_pair, (0,), [np.eye(2)[0], np.eye(2)[1]])
+        result = cut_compare(balanced_pair, (0,), relative[:1])
         assert not result.branches_complete
         assert result.distance == pytest.approx(0.5, abs=1e-12)
+
+    def test_relative_states_must_live_on_the_remainder(self, rng):
+        state = random_state(rng, (2, 3))
+        relative = distant_measure(state, (0,), [np.eye(2)[0], np.eye(2)[1]])
+        with pytest.raises(ValueError, match="remainder"):
+            cut_compare(state, (0,), relative[:, :2])
 
     def test_compare_on_subsystem_with_side_evolution(self, rng, balanced_pair):
         # Marker side measured, screen compared, an idle detector traced out;
@@ -261,8 +260,8 @@ class TestCutCompare:
         state = apply_unitary(state, u_idle, (2,))
         plus = np.array([1.0, 1.0]) * SQRT_HALF
         minus = np.array([1.0, -1.0]) * SQRT_HALF
-        outcomes = distant_measure(state, (0,), [plus, minus])
-        result = cut_compare(state, (0,), outcomes, compare=(1,))
+        relative = distant_measure(state, (0,), [plus, minus])
+        result = cut_compare(state, (0,), relative, compare=(1,))
         assert result.branches_complete
         assert result.distance < 1e-10
 

@@ -3,7 +3,9 @@
 Schmidt-decomposition machinery for bipartite pure states, distant
 (measurement-steered) state preparation, detector coupling, and a two-slit
 screen model on which simple and delayed-choice erasure pipelines are run
-and compared.
+and compared.  Re-expanding a pair in a chosen basis (`reschmidt`) reads the
+relative states of a distant measurement in that basis (`distant_measure`),
+and the partner map is `SchmidtDecomposition.partner`.
 """
 
 from .coherence import (
@@ -32,9 +34,7 @@ from .measurement import (
     mark_which_way,
 )
 from .schmidt import (
-    CorrelationOperator,
     SchmidtDecomposition,
-    correlation_operator,
     is_epr_type,
     reschmidt,
     schmidt_decompose,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoherenceBasisParams",
-    "CorrelationOperator",
     "CutComparison",
     "DensityOperator",
     "EqualityReport",
@@ -70,7 +69,6 @@ __all__ = [
     "basis_state",
     "classify_symmetry",
     "coherence_pair",
-    "correlation_operator",
     "couple_shift_register",
     "cut_compare",
     "distant_measure",

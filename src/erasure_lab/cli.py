@@ -226,23 +226,10 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     state = states.apply_unitary(state, u_screen, (2,))
     state = states.apply_unitary(state, u_idle, (3,))
 
-    # Measurement basis on (register, marker): evolved images of the
-    # triggered readout kets, completed to a full orthonormal set.
-    eye3 = np.eye(3)
-    kets = np.array(
-        [
-            np.kron(eye3[1], plus),
-            np.kron(eye3[2], minus),
-            np.kron(eye3[0], plus),
-            np.kron(eye3[0], minus),
-            np.kron(eye3[1], minus),
-            np.kron(eye3[2], plus),
-        ],
-        dtype=np.complex128,
-    )
-    evolved = (u_joint.matrix @ kets.T).T
-
-    relative = measurement.distant_measure(state, (0, 1), list(evolved))
+    # Measurement basis on (register, marker): evolved images of every
+    # register state times each readout ket, a full orthonormal set.
+    evolved = np.kron(np.eye(3), np.array([plus, minus])) @ u_joint.matrix.T
+    relative = measurement.distant_measure(state, (0, 1), evolved)
     result = measurement.cut_compare(state, (0, 1), relative, compare=(2,))
     if not result.branches_complete:
         raise RuntimeError("cut-demo branches unexpectedly incomplete")

@@ -12,11 +12,13 @@ basis vector, exactly one basis of each kind exists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .erasure import positive_number
 from .measurement import balanced_pair
 from .schmidt import SchmidtDecomposition, reschmidt
 from .states import StateVector, UnitaryOperator
@@ -37,7 +39,8 @@ class CoherenceBasisParams:
 
     The first vector is ``e^{i lam} p |1> + e^{i delta} q |2>`` with
     0 < p < 1 and q = sqrt(1 - p^2); `gamma` is the free overall phase of the
-    second vector.  Angles must be finite and are wrapped into [0, 2*pi).
+    second vector.  All four are real numbers (not booleans); angles must be
+    finite and are wrapped into [0, 2*pi).
     """
 
     p: float
@@ -46,6 +49,10 @@ class CoherenceBasisParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("p", "lam", "delta", "gamma"):
+            raw = getattr(self, name)
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {raw!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
         for name in ("lam", "delta", "gamma"):
@@ -127,6 +134,7 @@ def search_symmetric_bases(grid_steps: int) -> list[tuple[CoherenceBasisParams, 
     its phase-convention representative (lam = 0, gamma = 0) and duplicates
     are dropped, so the returned points are the distinct bases themselves.
     """
+    grid_steps = positive_number("grid_steps", grid_steps, int)
     if grid_steps < 8:
         raise ValueError("grid_steps must be at least 8")
     pair = balanced_pair()

@@ -43,8 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measurement import balanced_pair
-from .schmidt import require_orthonormal
-from .states import StateVector, UnitaryOperator, coefficient_matrix
+from .states import StateVector, UnitaryOperator, coefficient_matrix, require_orthonormal
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9

@@ -20,8 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .schmidt import VectorLike, _as_vector, require_orthonormal
-from .states import StateVector, _partition, coefficient_matrix, partial_trace, trace_norm_distance
+from .states import (
+    StateVector, VectorLike, _as_vector, _partition, coefficient_matrix, partial_trace,
+    require_orthonormal, trace_norm_distance,
+)
 
 COMPLETENESS_TOL = 1e-10
 

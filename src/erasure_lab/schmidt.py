@@ -5,9 +5,11 @@ with positive coefficients.  The squared coefficients are the common
 nonzero spectrum of the two reduced density operators; degeneracy in that
 spectrum is what allows mutually incompatible distant measurements, so
 degenerate states admit a continuum of distinct decompositions.  The
-antiunitary correlation operator is the one fixed object connecting them:
-it sends each left-side vector to its right-side partner in every
-decomposition of the same state.
+antiunitary partner map is the one fixed object connecting them: it sends
+each left-side vector to its right-side partner in every decomposition of
+the same state, and `SchmidtDecomposition.partner` reads it off any one of
+them.  `reschmidt` re-expands a state in a chosen left basis by normalizing
+the relative states that a distant measurement in that basis leaves.
 
 Conventions:
   * decomposition bases are stored as 2-D arrays with one vector per row;
@@ -22,26 +24,18 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .states import StateVector, coefficient_matrix
+from .measurement import distant_measure
+from .states import StateVector, VectorLike, _as_vector, coefficient_matrix, require_orthonormal
 
 SCHMIDT_CUTOFF = 1e-10
 DEGENERACY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
-ORTHONORMALITY_TOL = 1e-10
 BIORTHOGONALITY_TOL = 1e-8
 _PHASE_TOL = 1e-12
-
-VectorLike = Union[np.ndarray, StateVector, Sequence[complex]]
-
-
-def _as_vector(v: VectorLike) -> np.ndarray:
-    if isinstance(v, StateVector):
-        return v.amplitudes
-    return np.asarray(v, dtype=np.complex128).reshape(-1)
 
 
 def _fix_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +45,6 @@ def _fix_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndar
         return left, right
     phase = left[nonzero[0]] / abs(left[nonzero[0]])
     return left * np.conj(phase), right * phase
-
-
-def require_orthonormal(vectors: np.ndarray, what: str) -> None:
-    """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= ORTHONORMALITY_TOL."""
-    defect = float(np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors))))
-    if not defect <= ORTHONORMALITY_TOL:
-        raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +101,16 @@ class SchmidtDecomposition:
         """Coefficient matrix sum_k c_k |left_k><right_k*| of shape (dim_left, dim_right)."""
         return (self.basis_left.T * self.coefficients) @ self.basis_right
 
+    def partner(self, vector: VectorLike) -> np.ndarray:
+        """Image of `vector` under the antilinear partner map of the decomposed state.
+
+        Conjugate the coordinates of `vector` in `basis_left`, then combine the
+        right partners with them; components outside the left support are
+        annihilated.  The same map comes out of every decomposition of a state.
+        """
+        require_orthonormal(self.basis_right, "basis_right")
+        return self.basis_right.T @ (self.basis_left @ np.conj(_as_vector(vector)))
+
 
 def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomposition:
     """Canonical decomposition across `split` (left) vs the remaining subsystems.
@@ -141,37 +138,6 @@ def is_epr_type(dec: SchmidtDecomposition) -> bool:
     return bool(np.any(np.diff(np.sort(dec.weights())) <= DEGENERACY_TOL))
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationOperator:
-    """Antilinear map from the left reduced support onto the right one.
-
-    Fixed by the bipartite state alone: conjugate the coordinates in
-    `domain_basis`, then apply the isometry whose columns are the right
-    partners.  Components outside the support are annihilated.
-    """
-
-    domain_basis: np.ndarray
-    isometry: np.ndarray
-
-    def __post_init__(self):
-        basis = np.array(self.domain_basis, dtype=np.complex128)
-        iso = np.array(self.isometry, dtype=np.complex128)
-        require_orthonormal(iso.T, "isometry column set")
-        basis.setflags(write=False)
-        iso.setflags(write=False)
-        object.__setattr__(self, "domain_basis", basis)
-        object.__setattr__(self, "isometry", iso)
-
-    def apply(self, vector: VectorLike) -> np.ndarray:
-        coords = self.domain_basis.conj() @ _as_vector(vector)
-        return self.isometry @ np.conj(coords)
-
-
-def correlation_operator(dec: SchmidtDecomposition) -> CorrelationOperator:
-    """Partner map read off a decomposition: each left vector goes to its right partner."""
-    return CorrelationOperator(dec.basis_left, dec.basis_right.T)
-
-
 def reschmidt(
     state: StateVector,
     split: Sequence[int],
@@ -179,22 +145,19 @@ def reschmidt(
 ) -> SchmidtDecomposition:
     """Re-expand `state` so the left basis is exactly `basis_left`.
 
-    Each partner is the projection of the state onto the corresponding left
-    vector, normalized; this yields a canonical decomposition exactly when
-    those partners come out mutually orthogonal, which is guaranteed on any
+    A distant measurement of the `split` subsystems in `basis_left` leaves
+    the relative state c_k |partner_k> for outcome k (`distant_measure`);
+    the coefficients are their norms and the partners the normalized
+    relative states.  This yields a canonical decomposition exactly when
+    the partners come out mutually orthogonal, which is guaranteed on any
     support where the squared coefficients are degenerate.  Otherwise the
     expansion is not biorthogonal and the call is rejected.
 
     The caller's vectors are kept verbatim (order and phases); coefficients
     are therefore in the caller's order, not sorted.
     """
-    matrix = coefficient_matrix(state, split)
     basis = np.array([_as_vector(v) for v in basis_left])
-    if basis.shape[1] != matrix.shape[0]:
-        raise ValueError("basis vectors do not match the left subsystem dimension")
-    require_orthonormal(basis, "basis_left")
-
-    partners = basis.conj() @ matrix
+    partners = distant_measure(state, split, basis)
     coeffs = np.linalg.norm(partners, axis=1)
     if not np.all(coeffs > SCHMIDT_CUTOFF):
         raise ValueError(
@@ -210,9 +173,10 @@ def reschmidt(
             f"(partner overlap {off_diag:.3e}); the state is not degenerate "
             "on the span of basis_left"
         )
-    residual = np.linalg.norm((basis.T * coeffs) @ partners - matrix)
+    dec = SchmidtDecomposition(coeffs, basis, partners)
+    residual = np.linalg.norm(dec.matrix() - coefficient_matrix(state, split))
     if not residual <= RECONSTRUCTION_TOL:
         raise ValueError(
             f"basis_left does not span the state's correlated support (residual {residual:.3e})"
         )
-    return SchmidtDecomposition(coeffs, basis, partners)
+    return dec

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,12 +24,20 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 UNITARY_TOL = 1e-10
+ORTHONORMALITY_TOL = 1e-10
 
 
 def _readonly(values, dtype=np.complex128) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def require_orthonormal(vectors: np.ndarray, what: str) -> None:
+    """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= ORTHONORMALITY_TOL."""
+    defect = float(np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors))))
+    if not defect <= ORTHONORMALITY_TOL:
+        raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")
 
 
 def _partition(dims: tuple[int, ...], subsystems: Sequence[int]):
@@ -72,6 +80,15 @@ class StateVector:
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem."""
         return self.amplitudes.reshape(self.dims)
+
+
+VectorLike = Union[np.ndarray, StateVector, Sequence[complex]]
+
+
+def _as_vector(v: VectorLike) -> np.ndarray:
+    if isinstance(v, StateVector):
+        return v.amplitudes
+    return np.asarray(v, dtype=np.complex128).reshape(-1)
 
 
 def _square(matrix) -> np.ndarray:

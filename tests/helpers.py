@@ -13,7 +13,6 @@ from erasure_lab import (
     UnitaryOperator,
     apply_unitary,
     balanced_pair,
-    correlation_operator,
     couple_shift_register,
     distant_measure,
     run_simple_erasure,
@@ -92,15 +91,15 @@ def couple_detector(state: StateVector, detector_init: StateVector, u: UnitaryOp
 def screen_amplitude(config, d: str, x) -> np.ndarray | complex:
     """Screen wavefunction for outcome label d at position(s) x.
 
-    The slit coefficients are the partner, under the source pair's
-    correlation operator, of the marker ket labelled d: "1"/"2" give the bare
+    The slit coefficients are the partner, under the source pair's partner
+    map, of the marker ket labelled d: "1"/"2" give the bare
     slit modes, "+"/"-" the combinations (psi_1 +- psi_2)/sqrt(2), and
     "+i"/"-i" the conjugate patterns (psi_1 -+ i psi_2)/sqrt(2).
     """
     kets = {label: ket for choice in _BASIS_KETS.values() for label, ket in choice}
     if d not in kets:
         raise ValueError(f"unknown outcome label {d!r}")
-    partner = correlation_operator(schmidt_decompose(balanced_pair(), (0,))).apply(kets[d])
+    partner = schmidt_decompose(balanced_pair(), (0,)).partner(kets[d])
     x_arr = np.atleast_1d(np.asarray(x, float))
     values = partner @ config.slit_modes(x_arr)
     return values if np.ndim(x) else complex(values[0])

@@ -14,7 +14,6 @@ from erasure_lab import (
     CoherenceBasisParams,
     SymmetryClass,
     coherence_pair,
-    correlation_operator,
     mark_which_way,
     partial_trace,
     reschmidt,
@@ -84,7 +83,7 @@ def test_criterion_2_schmidt_fidelity():
 def test_criterion_3_epr_redecomposition():
     rng = np.random.default_rng(3)
     pair = mark_which_way(SQRT_HALF, SQRT_HALF)
-    partner_map = correlation_operator(schmidt_decompose(pair, (0,)))
+    source = schmidt_decompose(pair, (0,))
     worst_partner, worst_recon = 0.0, 0.0
     for _ in range(50):
         p = rng.uniform(0.1, 0.9)
@@ -98,8 +97,8 @@ def test_criterion_3_epr_redecomposition():
         dec = reschmidt(pair, (0,), [a, b])
         worst_partner = max(
             worst_partner,
-            float(np.linalg.norm(dec.basis_right[0] - partner_map.apply(a))),
-            float(np.linalg.norm(dec.basis_right[1] - partner_map.apply(b))),
+            float(np.linalg.norm(dec.basis_right[0] - source.partner(a))),
+            float(np.linalg.norm(dec.basis_right[1] - source.partner(b))),
         )
         worst_recon = max(
             worst_recon,

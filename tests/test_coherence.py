@@ -84,6 +84,16 @@ class TestCoherencePair:
         with pytest.raises(ValueError, match=field):
             CoherenceBasisParams.balanced(**{field: angle})
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [("p", "0.5"), ("p", None), ("p", True)]
+        + [(angle, raw) for angle in ("lam", "delta", "gamma") for raw in (True, "1")],
+    )
+    def test_non_real_values_rejected(self, field, raw):
+        kwargs = {"p": 0.6, field: raw}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            CoherenceBasisParams(**kwargs)
+
     def test_q_completes_the_modulus(self):
         params = CoherenceBasisParams(p=0.6)
         assert params.q == pytest.approx(0.8, abs=1e-15)
@@ -236,6 +246,11 @@ class TestSearchSymmetricBases:
     def test_grid_steps_validation(self):
         with pytest.raises(ValueError):
             search_symmetric_bases(4)
+
+    @pytest.mark.parametrize("grid_steps", [16.5, math.nan, math.inf, -math.inf, "16", True])
+    def test_non_integer_grid_steps_rejected(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps must be an integer"):
+            search_symmetric_bases(grid_steps)
 
     def test_csv_export(self):
         results = search_symmetric_bases(8)

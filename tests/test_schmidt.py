@@ -10,7 +10,7 @@ from erasure_lab import (
     SchmidtDecomposition,
     basis_state,
     coherence_pair,
-    correlation_operator,
+    distant_measure,
     is_epr_type,
     mark_which_way,
     reschmidt,
@@ -131,32 +131,70 @@ class TestEprClassification:
 class TestCorrelationOperator:
     def test_maps_basis_onto_partner_basis(self, balanced_pair):
         dec = schmidt_decompose(balanced_pair, (0,))
-        op = correlation_operator(dec)
         for k in range(dec.rank):
-            np.testing.assert_allclose(op.apply(dec.basis_left[k]), dec.basis_right[k], atol=1e-12)
+            np.testing.assert_allclose(dec.partner(dec.basis_left[k]), dec.basis_right[k], atol=1e-12)
 
     def test_antilinear_on_scalars(self, balanced_pair):
-        op = correlation_operator(schmidt_decompose(balanced_pair, (0,)))
-        image = op.apply(1j * np.array([1.0, 0.0]))
-        np.testing.assert_allclose(image, -1j * op.apply(np.array([1.0, 0.0])), atol=1e-15)
+        source = schmidt_decompose(balanced_pair, (0,))
+        image = source.partner(1j * np.array([1.0, 0.0]))
+        np.testing.assert_allclose(image, -1j * source.partner(np.array([1.0, 0.0])), atol=1e-15)
 
     def test_coherence_vector_image_is_conjugate_partner(self, balanced_pair):
         # For the balanced pair the partner has conjugated coefficients.
         params = CoherenceBasisParams(p=0.6, lam=0.9, delta=2.2, gamma=0.4)
         a, _ = coherence_pair(params)
-        op = correlation_operator(schmidt_decompose(balanced_pair, (0,)))
+        source = schmidt_decompose(balanced_pair, (0,))
         expected = np.conj(a.amplitudes)
-        np.testing.assert_allclose(op.apply(a), expected, atol=1e-12)
+        np.testing.assert_allclose(source.partner(a), expected, atol=1e-12)
+
+    def test_rejects_nonorthonormal_right_basis(self):
+        dec = SchmidtDecomposition([SQRT_HALF, SQRT_HALF], np.eye(2), [[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            dec.partner(np.array([1.0, 0.0]))
 
     def test_basis_independence(self, balanced_pair, rng):
         # The same antilinear map must come out of any decomposition of the state.
-        op1 = correlation_operator(schmidt_decompose(balanced_pair, (0,)))
+        dec1 = schmidt_decompose(balanced_pair, (0,))
         params = CoherenceBasisParams.balanced(lam=1.1, delta=0.7, gamma=0.3)
         a, b = coherence_pair(params)
-        op2 = correlation_operator(reschmidt(balanced_pair, (0,), [a, b]))
+        dec2 = reschmidt(balanced_pair, (0,), [a, b])
         for _ in range(20):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            np.testing.assert_allclose(op1.apply(v), op2.apply(v), atol=1e-9)
+            np.testing.assert_allclose(dec1.partner(v), dec2.partner(v), atol=1e-9)
+
+
+class TestDistantMeasurementAgreement:
+    """Distant measurement, re-expansion and the partner map give one relative state.
+
+    Measuring the left side in {b_k} leaves c_k times the partner of b_k on
+    the right: the EPR-type disentanglement the erasure routes rest on.
+    """
+
+    def test_balanced_pair_coherence_bases(self, balanced_pair, rng):
+        source = schmidt_decompose(balanced_pair, (0,))
+        for _ in range(50):
+            params = CoherenceBasisParams(
+                p=rng.uniform(0.1, 0.9),
+                lam=rng.uniform(0, 2 * math.pi),
+                delta=rng.uniform(0, 2 * math.pi),
+                gamma=rng.uniform(0, 2 * math.pi),
+            )
+            basis = coherence_pair(params)
+            relative = distant_measure(balanced_pair, (0,), basis)
+            dec = reschmidt(balanced_pair, (0,), basis)
+            for k, b in enumerate(basis):
+                expanded = dec.coefficients[k] * dec.basis_right[k]
+                np.testing.assert_allclose(relative[k], expanded, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(relative[k], SQRT_HALF * source.partner(b), rtol=0, atol=1e-12)
+
+    def test_random_state_in_its_own_basis(self, rng):
+        state = random_state(rng, (2, 3))
+        basis = list(schmidt_decompose(state, (0,)).basis_left)
+        relative = distant_measure(state, (0,), basis)
+        dec = reschmidt(state, (0,), basis)
+        for k in range(dec.rank):
+            expanded = dec.coefficients[k] * dec.basis_right[k]
+            np.testing.assert_allclose(relative[k], expanded, rtol=0, atol=1e-12)
 
 
 class TestReschmidt:
@@ -209,7 +247,7 @@ class TestReschmidt:
             reschmidt(joint, (0,), [np.array([0.0, 1.0])])
 
     def test_random_coherence_bases_reconstruct(self, balanced_pair, rng):
-        op = correlation_operator(schmidt_decompose(balanced_pair, (0,)))
+        source = schmidt_decompose(balanced_pair, (0,))
         for _ in range(50):
             p = rng.uniform(0.1, 0.9)
             params = CoherenceBasisParams(
@@ -224,5 +262,5 @@ class TestReschmidt:
                 dec.matrix().reshape(-1), balanced_pair.amplitudes, atol=1e-9
             )
             # Partner states are the antilinear images of the basis vectors.
-            np.testing.assert_allclose(dec.basis_right[0], op.apply(a), atol=1e-10)
-            np.testing.assert_allclose(dec.basis_right[1], op.apply(b), atol=1e-10)
+            np.testing.assert_allclose(dec.basis_right[0], source.partner(a), atol=1e-10)
+            np.testing.assert_allclose(dec.basis_right[1], source.partner(b), atol=1e-10)

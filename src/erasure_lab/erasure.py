@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measurement import balanced_pair
-from .states import StateVector, UnitaryOperator, coefficient_matrix, require_orthonormal
+from .states import UnitaryOperator, coefficient_matrix, require_unit_norm
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
@@ -53,6 +53,10 @@ BASIS_CHOICES = ("pm", "pmi", "whichway")
 BORN_RULES = ("intensity", "amplitude")
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# Most grid nodes `marker_states` holds at once; a block takes whole pieces,
+# so a piece of more nodes than this is a block of its own.
+BLOCK_NODES = 2**16
 
 # Marker measurement kets per basis choice, with outcome labels.
 _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
@@ -218,21 +222,19 @@ class ErasureConfig:
 
 
 def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes, weights, and 1-based bin index across the array.
+    """The grid's pieces: midpoints, half-widths, and the 1-based bin of each piece.
 
-    A bin that contains the window edge +-support_half_width is cut there and
-    each piece gets `quadrature_points` nodes, strictly inside it, so no rule
-    straddles the envelope's jump and every node belongs to one detector.
+    A piece is a detector bin, or one side of a bin that contains the window
+    edge +-support_half_width and is cut there.  Each piece carries the
+    `quadrature_points` Gauss-Legendre nodes mid + half * x_q, weights
+    half * w_q, strictly inside it, so no rule straddles the envelope's jump
+    and every node belongs to one detector.
     """
     edges, a = config.bin_edges, config.support_half_width
     window = [x for x in (-a, a) if edges[0] < x < edges[-1] and x not in edges]
     cuts = np.sort(np.append(edges, window))
     mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
-    base_x, base_w = _gauss_legendre(config.quadrature_points)
-    nodes = (mid[:, None] + half[:, None] * base_x).reshape(-1)
-    weights = (half[:, None] * base_w).reshape(-1)
-    bin_index = np.repeat(np.searchsorted(edges, mid), config.quadrature_points)
-    return nodes, weights, bin_index
+    return mid, half, np.searchsorted(edges, mid)
 
 
 def _table(config: ErasureConfig, pipeline: str, labels, values) -> ProbabilityTable:
@@ -249,7 +251,6 @@ def _basis(config: ErasureConfig, marker_unitary: UnitaryOperator | None) -> tup
     """
     labels, kets = zip(*_BASIS_KETS[config.basis])
     kets = np.array(kets)
-    require_orthonormal(kets, "measurement basis")
     if marker_unitary is not None:
         if marker_unitary.dim != 2:
             raise ValueError(f"unitary dimension {marker_unitary.dim} does not match the marker dimension 2")
@@ -305,35 +306,40 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     The screen particle on the quadrature grid is coupled to a localization
     register by the shift |x>|0> -> |x>|bin(x)>, an isometry, so the coupled
     state is held exactly in its image: one amplitude psi_m(j) per marker
-    state m and node j, tagged with the node's bin.  rho_M(n) traces out the
-    nodes tagged n: the sum of psi psi^dagger (intensity rule), or s s^dagger
-    with s the bin sum of sqrt(w) psi (amplitude rule).  Its trace is the
-    bin's detection value.
+    state m and node j, carrying sqrt(weight) so that norms match the
+    continuum integrals.  rho_M(n) traces out the nodes of bin n: the sum of
+    psi psi^dagger (intensity rule), or s s^dagger with s the bin sum of
+    sqrt(w) psi (amplitude rule).  Its trace is the bin's detection value.
+
+    The grid is streamed in blocks of whole pieces, at most BLOCK_NODES
+    nodes each: every piece is reduced over its nodes to one 2x2 matrix
+    (intensity) or one pair of sums s (amplitude) and added into its bin, so
+    memory is set by the block, not by n_bins * quadrature_points.  The
+    coupled state's norm is checked as a running sum over the blocks.
     """
-    nodes, weights, bin_index = quadrature_grid(config)
-    sqrt_w = np.sqrt(weights)
-
-    # Marked pair with the screen particle expanded on the grid: grid
-    # amplitudes carry sqrt(weight) so norms match the continuum integrals.
-    coupled = StateVector((2, nodes.size), (config.slit_modes(nodes) * sqrt_w * _SQRT_HALF).reshape(-1))
-    psi = coupled.tensor_view()
-
-    def bin_sum(values: np.ndarray) -> np.ndarray:
-        return np.bincount(bin_index, weights=values, minlength=config.n_bins + 1)[1:]
-
-    def complex_bin_sum(values: np.ndarray) -> np.ndarray:
-        return bin_sum(values.real) + 1j * bin_sum(values.imag)
-
-    if config.born_rule == "intensity":
-        rho = np.empty((config.n_bins, 2, 2), dtype=np.complex128)
-        rho[:, 0, 0], rho[:, 1, 1] = (bin_sum(p.real**2 + p.imag**2) for p in psi)
-        rho[:, 0, 1] = complex_bin_sum(psi[0] * psi[1].conj())
-        rho[:, 1, 0] = rho[:, 0, 1].conj()
-    else:
-        # Integrated amplitude per bin: sqrt(w) * psi carries the full quadrature weight.
-        s = np.stack([complex_bin_sum(sqrt_w * p) for p in psi], axis=-1)
-        rho = s[:, :, None] * s[:, None, :].conj()
-    return rho
+    mid, half, bins = quadrature_grid(config)
+    base_x, base_w = _gauss_legendre(config.quadrature_points)
+    intensity = config.born_rule == "intensity"
+    # Per bin: rho_M(n) (intensity) or s (amplitude).
+    sums = np.zeros((config.n_bins, 2, 2) if intensity else (config.n_bins, 2), dtype=np.complex128)
+    norm_sq = 0.0
+    step = max(1, BLOCK_NODES // config.quadrature_points)
+    for start in range(0, mid.size, step):
+        block = slice(start, start + step)
+        h = half[block, None]
+        # Amplitudes of the block's pieces, shape (2, pieces, quadrature_points).
+        psi = config.slit_modes(mid[block, None] + h * base_x)
+        sqrt_w = np.sqrt(h * base_w)
+        psi *= sqrt_w * _SQRT_HALF
+        norm_sq += np.vdot(psi, psi).real
+        if intensity:
+            pieces = np.vecdot(psi[None, :], psi[:, None]).transpose(2, 0, 1)
+        else:
+            # sqrt(w) * psi carries the full quadrature weight.
+            pieces = np.vecdot(sqrt_w, psi).T
+        np.add.at(sums, bins[block] - 1, pieces)
+    require_unit_norm(math.sqrt(norm_sq))
+    return sums if intensity else sums[:, :, None] * sums[:, None, :].conj()
 
 
 def run_delayed_choice(

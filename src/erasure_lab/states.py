@@ -40,6 +40,12 @@ def require_orthonormal(vectors: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")
 
 
+def require_unit_norm(norm: float) -> None:
+    """Reject a state vector norm that deviates from 1 by more than NORM_TOL."""
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond tolerance")
+
+
 def _partition(dims: tuple[int, ...], subsystems: Sequence[int]):
     """The validated `subsystems` of a space with `dims`, and the other indices ascending."""
     subsystems = tuple(int(i) for i in subsystems)
@@ -71,9 +77,7 @@ class StateVector:
         total = math.prod(dims)
         if amps.ndim != 1 or amps.size != total:
             raise ValueError(f"expected {total} amplitudes, got array of shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond tolerance")
+        require_unit_norm(float(np.linalg.norm(amps)))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -133,6 +133,19 @@ def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, r
     return _table(config, pipeline, labels, values)
 
 
+def flat_grid(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The delayed route's quadrature grid, flat: every node, its weight, and its 1-based bin.
+
+    Expands each piece of `quadrature_grid(config)` into its Gauss-Legendre
+    nodes mid + half * x_q and weights half * w_q, piece after piece.
+    """
+    mid, half, bins = quadrature_grid(config)
+    base_x, base_w = _legendre(config.quadrature_points)
+    nodes = (mid[:, None] + half[:, None] * base_x).reshape(-1)
+    weights = (half[:, None] * base_w).reshape(-1)
+    return nodes, weights, np.repeat(bins, config.quadrature_points)
+
+
 def dense_delayed_table(config, marker_unitary=None):
     """The delayed-choice table from an explicit localization register.
 
@@ -141,7 +154,7 @@ def dense_delayed_table(config, marker_unitary=None):
     conditional state is read off its register blocks.  Oracle for the
     library route, which keeps the coupled state in the coupling's image.
     """
-    nodes, weights, bin_index = quadrature_grid(config)
+    nodes, weights, bin_index = flat_grid(config)
     sqrt_w = np.sqrt(weights)
     source = StateVector((2, nodes.size), (config.slit_modes(nodes) * sqrt_w * np.sqrt(0.5)).reshape(-1))
     coupled = couple_shift_register(source, bin_index, register_dim=config.n_bins + 1)
@@ -158,13 +171,13 @@ def dense_delayed_table(config, marker_unitary=None):
 def grid_simple_table(config, marker_unitary=None):
     """The simple-erasure table binned on the delayed route's quadrature grid.
 
-    Each partner wavefunction is sampled on `quadrature_grid(config)` and
-    summed per bin with the same weights the delayed route uses, so it
-    agrees with the delayed table to rounding at any quadrature_points.
+    Each partner wavefunction is sampled on `flat_grid(config)` and summed
+    per bin with the same weights the delayed route uses, so it agrees with
+    the delayed table to rounding at any quadrature_points.
     Oracle for checks of the delayed route's marker measurement and readout
     that must hold however coarse the grid is.
     """
-    nodes, weights, bin_index = quadrature_grid(config)
+    nodes, weights, bin_index = flat_grid(config)
     modes = config.slit_modes(nodes)
 
     def readout(partner: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: MemoryError: array does not fit\n"
         assert "Traceback" not in err
+
+    def test_unnormalized_grid_state_is_4(self, tmp_path, capsys, monkeypatch):
+        # Modes 1% too large fail the delayed route's norm check on the grid state.
+        slit_modes = erasure.ErasureConfig.slit_modes
+        monkeypatch.setattr(erasure.ErasureConfig, "slit_modes", lambda self, x: 1.01 * slit_modes(self, x))
+        assert run_cli(["erasure", "delayed", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ValueError: state vector norm .* deviates from 1 beyond tolerance\n", err)
 
 
 class TestVerifyGeometry:

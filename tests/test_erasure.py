@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erasure_lab import (
@@ -19,12 +19,15 @@ from erasure_lab import (
     trace_norm_distance,
     verify_equality,
 )
-from erasure_lab.erasure import BASIS_CHOICES, BORN_RULES, quadrature_grid
+from erasure_lab import erasure
+from erasure_lab.erasure import _BASIS_KETS, BASIS_CHOICES, BORN_RULES, quadrature_grid
+from erasure_lab.states import ORTHONORMALITY_TOL
 from helpers import (
     COVERAGE_TOL,
     bin_probability,
     coverage,
     dense_delayed_table,
+    flat_grid,
     fringe_visibility,
     grid_simple_table,
     screen_amplitude,
@@ -78,13 +81,13 @@ def config():
 
 class TestSlitModes:
     def test_slit_modes_are_normalized(self, config):
-        nodes, weights, _ = quadrature_grid(config)
+        nodes, weights, _ = flat_grid(config)
         norms = np.sum(weights * np.abs(config.slit_modes(nodes)) ** 2, axis=1)
         np.testing.assert_allclose(norms, [1.0, 1.0], atol=1e-6)
 
     def test_slit_modes_are_orthogonal_at_default_gradient(self, config):
         # kappa * span = 3*pi, an integer multiple, so the modes decouple.
-        nodes, weights, _ = quadrature_grid(config)
+        nodes, weights, _ = flat_grid(config)
         psi1, psi2 = config.slit_modes(nodes)
         assert abs(np.sum(weights * np.conj(psi1) * psi2)) < 1e-12
 
@@ -96,7 +99,7 @@ class TestSlitModes:
     def test_modes_are_conjugate_exponentials(self, kappa):
         # A window narrower than the span leaves grid nodes where the envelope is 0.
         config = ErasureConfig(envelope_width=0.9, phase_gradient=kappa)
-        x = quadrature_grid(config)[0]
+        x = flat_grid(config)[0]
         modes = config.slit_modes(x)
         assert modes[0].tobytes() == modes[1].conj().tobytes()
         a = config.support_half_width
@@ -167,18 +170,29 @@ class TestBinProbability:
 class TestQuadratureGrid:
     def test_nodes_fall_inside_their_bins(self):
         config = ErasureConfig(quadrature_points=64)
-        nodes, weights, bin_index = quadrature_grid(config)
+        mid, half, bins = quadrature_grid(config)
+        np.testing.assert_array_equal(bins, np.arange(1, config.n_bins + 1))
+        nodes, weights, bin_index = flat_grid(config)
         for n in range(1, config.n_bins + 1):
             lo, hi = config.bin_edges[n - 1 : n + 1]
+            assert lo < mid[n - 1] < hi
+            assert 2.0 * half[n - 1] == pytest.approx(hi - lo, rel=1e-12)
             chunk = nodes[bin_index == n]
             assert np.all((chunk > lo) & (chunk < hi))
+        assert float(np.sum(2.0 * half)) == pytest.approx(config.span, rel=1e-12)
         assert float(np.sum(weights)) == pytest.approx(config.span, rel=1e-12)
 
     def test_window_edge_cuts_its_bin(self):
         # The window edge 4 * 0.9 = 3.6 lies inside the outer bins [+-3.5, +-4]:
         # each is cut there into two pieces of Q nodes, none astride the edge.
         config = ErasureConfig(envelope_width=0.9, quadrature_points=8)
-        nodes, weights, bin_index = quadrature_grid(config)
+        mid, half, bins = quadrature_grid(config)
+        assert mid.size == 16 + 2
+        np.testing.assert_array_equal(np.bincount(bins)[1:], [2] + [1] * 14 + [2])
+        cuts = np.sort(np.concatenate([config.bin_edges, [-3.6, 3.6]]))
+        np.testing.assert_allclose(mid - half, cuts[:-1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mid + half, cuts[1:], rtol=0, atol=1e-15)
+        nodes, weights, bin_index = flat_grid(config)
         assert nodes.size == (16 + 2) * 8
         np.testing.assert_array_equal(np.bincount(bin_index)[1:], [16] + [8] * 14 + [16])
         for n in (1, 16):
@@ -215,6 +229,14 @@ class TestQuadratureGrid:
     def test_points_per_bin_validation(self, points):
         with pytest.raises(ValueError, match="quadrature_points"):
             ErasureConfig(quadrature_points=points)
+
+
+@pytest.mark.parametrize("basis", BASIS_CHOICES)
+def test_basis_kets_are_orthonormal(basis):
+    # The routes take these constant kets unchecked; they are checked here once.
+    kets = np.array([ket for _, ket in _BASIS_KETS[basis]])
+    assert kets.shape == (2, 2)
+    assert np.linalg.norm(kets.conj() @ kets.T - np.eye(2)) <= ORTHONORMALITY_TOL
 
 
 class TestSimpleErasure:
@@ -417,27 +439,29 @@ class TestDelayedChoice:
 
     def test_memory_does_not_scale_with_register(self):
         # A dense (n_bins + 1)-slot register at 256 x 64 would take 32 * 256 * 64 * 257
-        # bytes (~128 MiB) per copy; the image coordinates take 2 * 256 * 64 * 16 bytes.
-        config = ErasureConfig(n_bins=256, bin_width=8.0 / 256, quadrature_points=64)
-        tracemalloc.start()
-        try:
-            run_delayed_choice(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # bytes (~128 MiB) per copy; the streamed grid is one block here, 2 * 256 * 64 * 16 bytes.
+        peak = delayed_peak_bytes(ErasureConfig(n_bins=256, bin_width=8.0 / 256, quadrature_points=64))
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_4096_bins(self):
-        # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.
-        # The route may hold at most 8 of them at once.
-        config = ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256)
-        tracemalloc.start()
-        try:
-            run_delayed_choice(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.  The
+        # grid is streamed in blocks of at most BLOCK_NODES = 2**16 nodes, so no
+        # array of N is held.
+        peak = delayed_peak_bytes(ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256))
         assert peak <= 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_memory_at_65536_bins(self):
+        # 65536 x 64 nodes: N = 2**22.  Holding the flat grid, its (2, N) modes and
+        # the coupled state at once took about 0.4 GiB; per block, the route holds
+        # 2 * BLOCK_NODES amplitudes (2 MiB) beside the per-bin sums and the table.
+        peak = delayed_peak_bytes(ErasureConfig(n_bins=65536, bin_width=8.0 / 65536, quadrature_points=64))
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_norm_check_rejects_unnormalized_modes(self, monkeypatch):
+        slit_modes = ErasureConfig.slit_modes
+        monkeypatch.setattr(ErasureConfig, "slit_modes", lambda self, x: 1.01 * slit_modes(self, x))
+        with pytest.raises(ValueError, match="state vector norm .* deviates from 1"):
+            run_delayed_choice(ErasureConfig())
 
     def test_default_quadrature_verifies_across_schema(self):
         # Seeded draws from the domain of test_any_valid_geometry_verifies_or_fails
@@ -470,6 +494,16 @@ class TestDelayedChoice:
             np.testing.assert_array_equal(table.values, simple[0].values)
 
 
+def delayed_peak_bytes(config) -> int:
+    """Peak traced allocation of one `run_delayed_choice(config)`."""
+    tracemalloc.start()
+    try:
+        run_delayed_choice(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def worst_state_distance(config) -> float:
     """Largest per-bin trace distance between marker_states and the tomography oracle."""
     return max(map(trace_norm_distance, marker_states(config), tomography_states(config)))
@@ -487,6 +521,40 @@ class TestMarkerStates:
 
     def test_coarse_quadrature_shows_in_the_states(self):
         assert worst_state_distance(ErasureConfig(quadrature_points=1)) > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        born_rule=st.sampled_from(BORN_RULES),
+        kappa=st.floats(2**-4, 4.0),
+        n_bins=st.integers(1, 32),
+        bin_width=st.floats(2**-10, 16.0),
+        window=st.floats(0.0, 1.0, exclude_max=True),
+        points=st.integers(1, 64),
+    )
+    @example(born_rule="amplitude", kappa=3 * math.pi / 8, n_bins=16, bin_width=0.5, window=0.1, points=8)
+    def test_block_size_leaves_states_unchanged(self, born_rule, kappa, n_bins, bin_width, window, points):
+        # The window edge at support_half_width = span / 2 * (1 - window) cuts a
+        # bin in two whenever it misses the bin edges.
+        span = n_bins * bin_width
+        config = ErasureConfig(
+            envelope_width=span / 8.0 * (1.0 - window),
+            phase_gradient=kappa,
+            n_bins=n_bins,
+            bin_width=bin_width,
+            span=span,
+            born_rule=born_rule,
+            quadrature_points=points,
+        )
+        _, _, bins = quadrature_grid(config)
+        # One piece per block, and a block boundary between a cut bin's two pieces.
+        block_sizes = [points] + [points * (j + 1) for j in np.flatnonzero(bins[1:] == bins[:-1])[:1]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(erasure, "BLOCK_NODES", bins.size * points)
+            whole = marker_states(config)
+            for block_nodes in block_sizes:
+                patch.setattr(erasure, "BLOCK_NODES", block_nodes)
+                deviation = float(np.max(np.abs(marker_states(config) - whole)))
+                assert deviation <= 1e-15, f"BLOCK_NODES = {block_nodes}: deviation {deviation}"
 
 
 class TestVerifyEquality:

@@ -40,7 +40,6 @@ from .schmidt import (
     schmidt_decompose,
 )
 from .states import (
-    DensityOperator,
     StateVector,
     UnitaryOperator,
     apply_unitary,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoherenceBasisParams",
     "CutComparison",
-    "DensityOperator",
     "EqualityReport",
     "ErasureConfig",
     "ProbabilityTable",

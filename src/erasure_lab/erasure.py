@@ -34,7 +34,6 @@ tables built with it are left unnormalized.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,14 +142,13 @@ class ProbabilityTable:
 
     def to_csv(self) -> str:
         """Deterministic CSV with header mode,d,n,x_center,p (17 significant digits)."""
-        out = io.StringIO()
-        out.write("mode,d,n,x_center,p\n")
-        for i, d in enumerate(self.labels):
-            for n in range(1, self.n_bins + 1):
-                out.write(
-                    f"{self.mode},{d},{n},{self.centers[n - 1]:.17g},{self.values[i, n - 1]:.17g}\n"
-                )
-        return out.getvalue()
+        centers = self.centers.tolist()
+        rows = (
+            f"{self.mode},{d},{n},{x:.17g},{p:.17g}\n"
+            for d, row in zip(self.labels, self.values.tolist())
+            for n, (x, p) in enumerate(zip(centers, row), start=1)
+        )
+        return "mode,d,n,x_center,p\n" + "".join(rows)
 
 
 @dataclass(frozen=True)

@@ -142,9 +142,9 @@ def cut_compare(
     # Axes: outcome, the remainder's in `compare` order, the (possibly empty) rest.
     order = [rest.index(i) for i in compare] + [k for k, i in enumerate(rest) if i not in compare]
     branches = relative.reshape((-1,) + rest_dims).transpose([0] + [1 + k for k in order])
-    branches = branches.reshape(len(relative), improper.dim, relative.shape[1] // improper.dim)
+    branches = branches.reshape(len(relative), len(improper), relative.shape[1] // len(improper))
     mixture = np.einsum("kio,kjo->ij", branches, branches.conj())
 
-    distance = trace_norm_distance(improper.matrix, mixture)
+    distance = trace_norm_distance(improper, mixture)
     complete = abs(float(np.vdot(relative, relative).real) - 1.0) <= COMPLETENESS_TOL
     return CutComparison(distance=distance, branches_complete=complete)

@@ -1,9 +1,9 @@
 """Finite-dimensional Hilbert-space primitives.
 
-State vectors over composite systems, density operators, unitaries, tensor
-products and partial traces.  Amplitudes are stored flat in row-major
-multi-index order with subsystem 0 as the slowest index, so serialized
-output is reproducible across implementations at a given precision.
+State vectors over composite systems, unitaries, tensor products and
+partial traces.  Amplitudes are stored flat in row-major multi-index order
+with subsystem 0 as the slowest index, so serialized output is
+reproducible across implementations at a given precision.
 
 All values are immutable after construction and every operation is a pure
 function; complex numbers are 64-bit per component throughout.
@@ -20,10 +20,6 @@ import numpy as np
 # The identities this library checks are exact, so a violation at these
 # scales indicates a bug rather than physics.
 NORM_TOL = 1e-10
-HERM_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
-UNITARY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -95,45 +91,15 @@ def _as_vector(v: VectorLike) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape(-1)
 
 
-def _square(matrix) -> np.ndarray:
-    """`matrix` as a read-only complex array, rejected unless 2-D and square."""
-    mat = _readonly(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _square(self.matrix)
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -EIG_TOL:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _square(self.matrix)
-        defect = np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat)))
-        if not defect <= UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (Frobenius defect {defect:.3e})")
+        mat = _readonly(self.matrix)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        require_orthonormal(mat, "unitary matrix")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -188,10 +154,13 @@ def coefficient_matrix(state: StateVector, split: Sequence[int]) -> np.ndarray:
     return state.tensor_view().transpose(split + rest).reshape(d_split, -1)
 
 
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityOperator:
-    """Reduced density operator on the `keep` subsystems (in the given order)."""
+def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix on the `keep` subsystems (in the given order), as an array.
+
+    As psi psi^dagger of a normalized state it is Hermitian, positive and of unit trace.
+    """
     psi = coefficient_matrix(state, keep)
-    return DensityOperator(psi @ psi.conj().T)
+    return psi @ psi.conj().T
 
 
 def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:

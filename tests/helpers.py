@@ -120,8 +120,8 @@ def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, r
     The Schroedinger-picture route the library folds into its measured kets:
     the state itself is evolved by `apply_unitary` and measured by
     `distant_measure`.  `readout` maps each outcome's normalized conditional
-    amplitudes to its per-bin detection values.  A null outcome (p <= 1e-14)
-    gets a zero row.
+    amplitudes to its per-bin detection values.  Only an exactly null outcome
+    (p = 0) gets a zero row, since p * readout(r / sqrt(p)) keeps a tiny p exact.
     """
     if marker_unitary is not None:
         state = apply_unitary(state, marker_unitary, (0,))
@@ -129,7 +129,7 @@ def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, r
     relative = distant_measure(state, (0,), kets)
     probabilities = np.einsum("kr,kr->k", relative, relative.conj()).real
     zero = np.zeros(config.n_bins)
-    values = [p * readout(r / np.sqrt(p)) if p > 1e-14 else zero for p, r in zip(probabilities.tolist(), relative)]
+    values = [p * readout(r / np.sqrt(p)) if p > 0.0 else zero for p, r in zip(probabilities.tolist(), relative)]
     return _table(config, pipeline, labels, values)
 
 

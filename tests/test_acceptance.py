@@ -156,7 +156,7 @@ def test_criterion_5_coherence_elevation():
         beta = phases[1] * math.sqrt(1.0 - weight)
         state = mark_which_way(alpha, beta)
         rho = partial_trace(state, keep=(1,))
-        worst_offdiag = max(worst_offdiag, abs(rho.matrix[0, 1]), abs(rho.matrix[1, 0]))
+        worst_offdiag = max(worst_offdiag, abs(rho[0, 1]), abs(rho[1, 0]))
         ranks.add(schmidt_decompose(state, (0,)).rank)
     ok = worst_offdiag < 1e-12 and ranks == {2}
     assert _report(

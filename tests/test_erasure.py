@@ -600,7 +600,15 @@ class TestProbabilityTable:
         mode, d, n, x, p = lines[1].split(",")
         assert (mode, d, n) == ("simple", "+", "1")
         assert float(x) == -3.0
-        float(p)  # parses
+        # Every row parses back, in label-major order, to the exact stored floats;
+        # the 5-bin table has entries that need all 17 digits.
+        for table in (table, run_simple_erasure(ErasureConfig(n_bins=5, bin_width=1.6))):
+            rows = [line.split(",") for line in table.to_csv().strip().split("\n")[1:]]
+            expected = [(i, d, n) for i, d in enumerate(table.labels) for n in range(1, table.n_bins + 1)]
+            for (mode, d, n, x, p), (i, label, bin_n) in zip(rows, expected, strict=True):
+                assert (mode, d, int(n)) == ("simple", label, bin_n)
+                assert float(x) == table.centers[bin_n - 1]
+                assert float(p) == table.values[i, bin_n - 1]
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):

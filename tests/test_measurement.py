@@ -49,7 +49,7 @@ class TestMarkWhichWay:
     def test_reduced_state_is_diagonal(self):
         state = mark_which_way(0.6, 0.8)
         rho = partial_trace(state, keep=(1,))
-        np.testing.assert_allclose(rho.matrix, np.diag([0.36, 0.64]), atol=1e-15)
+        np.testing.assert_allclose(rho, np.diag([0.36, 0.64]), atol=1e-15)
 
     def test_off_diagonals_vanish_exactly(self, rng):
         for _ in range(25):
@@ -57,7 +57,7 @@ class TestMarkWhichWay:
             a = rng.uniform(0.05, 0.95)
             alpha, beta = phase[0] * math.sqrt(a), phase[1] * math.sqrt(1 - a)
             rho = partial_trace(mark_which_way(alpha, beta), keep=(1,))
-            assert rho.matrix[0, 1] == 0.0 and rho.matrix[1, 0] == 0.0
+            assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
 
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -118,7 +118,7 @@ class TestDistantMeasure:
             basis = haar_random_unitary(3, rng).matrix.T
             relative = distant_measure(state, (0,), list(basis))
             rho = partial_trace(state, keep=(1,))
-            np.testing.assert_allclose(ensemble_density(relative), rho.matrix, atol=1e-10)
+            np.testing.assert_allclose(ensemble_density(relative), rho, atol=1e-10)
 
 
 class TestCoupleDetector:

@@ -55,7 +55,7 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # Most grid nodes `marker_states` holds at once; a block takes whole pieces,
 # so a piece of more nodes than this is a block of its own.
-BLOCK_NODES = 2**16
+BLOCK_NODES = 2**12
 
 # Marker measurement kets per basis choice, with outcome labels.
 _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
@@ -313,7 +313,10 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     nodes each: every piece is reduced over its nodes to one 2x2 matrix
     (intensity) or one pair of sums s (amplitude) and added into its bin, so
     memory is set by the block, not by n_bins * quadrature_points.  The
-    coupled state's norm is checked as a running sum over the blocks.
+    coupled state's norm is checked as a running sum over the blocks.  The
+    modes are evaluated once per piece midpoint and once per node offset d:
+    psi_j(mid + d) = psi_j(mid) * psi_j(d) * sqrt(2a), as the phase is
+    additive and the grid cuts at +-a, so the window is constant on a piece.
     """
     mid, half, bins = quadrature_grid(config)
     base_x, base_w = _gauss_legendre(config.quadrature_points)
@@ -321,20 +324,25 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     # Per bin: rho_M(n) (intensity) or s (amplitude).
     sums = np.zeros((config.n_bins, 2, 2) if intensity else (config.n_bins, 2), dtype=np.complex128)
     norm_sq = 0.0
+    mid_modes = config.slit_modes(mid)
+    widths = np.array(sorted(set(half.tolist())))  # distinct half-widths; np.unique costs more on small grids
+    width_of = np.searchsorted(widths, half)
+    sqrt_w = np.sqrt(widths[:, None] * base_w)
+    # Per distinct half-width: psi_j(d) * sqrt(2a), times the pair's sqrt(1/2) and each node's sqrt(w).
+    offset_modes = config.slit_modes(widths[:, None] * base_x)
+    offset_modes *= sqrt_w * (math.sqrt(2.0 * config.support_half_width) * _SQRT_HALF)
     step = max(1, BLOCK_NODES // config.quadrature_points)
     for start in range(0, mid.size, step):
         block = slice(start, start + step)
-        h = half[block, None]
         # Amplitudes of the block's pieces, shape (2, pieces, quadrature_points).
-        psi = config.slit_modes(mid[block, None] + h * base_x)
-        sqrt_w = np.sqrt(h * base_w)
-        psi *= sqrt_w * _SQRT_HALF
+        psi = offset_modes[:, width_of[block]]
+        psi *= mid_modes[:, block, None]
         norm_sq += np.vdot(psi, psi).real
         if intensity:
             pieces = np.vecdot(psi[None, :], psi[:, None]).transpose(2, 0, 1)
         else:
             # sqrt(w) * psi carries the full quadrature weight.
-            pieces = np.vecdot(sqrt_w, psi).T
+            pieces = np.vecdot(sqrt_w[width_of[block]], psi).T
         np.add.at(sums, bins[block] - 1, pieces)
     require_unit_norm(math.sqrt(norm_sq))
     return sums if intensity else sums[:, :, None] * sums[:, None, :].conj()

@@ -31,6 +31,8 @@ def _readonly(values, dtype=np.complex128) -> np.ndarray:
 
 def require_orthonormal(vectors: np.ndarray, what: str) -> None:
     """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= ORTHONORMALITY_TOL."""
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{what} has non-finite entries")
     defect = float(np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors))))
     if not defect <= ORTHONORMALITY_TOL:
         raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")

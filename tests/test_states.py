@@ -1,5 +1,7 @@
 """Hilbert-space primitive tests: tensor products, partial traces, unitaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,11 +54,14 @@ class TestTypes:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValueError, match="norm"):
-            StateVector((2,), [bad, 0.0])
-        # inf * 0 in the Gram product is nan, which numpy also reports as a warning.
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
-            UnitaryOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+        # Rejected before any arithmetic on them: inf * 0 in a Gram product
+        # would be nan, which numpy reports as a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm"):
+                StateVector((2,), [bad, 0.0])
+            with pytest.raises(ValueError, match="unitary matrix has non-finite entries"):
+                UnitaryOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_operator_dim_read_from_square_matrix(self):
         assert UnitaryOperator(np.eye(3)).dim == 3

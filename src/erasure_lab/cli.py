@@ -56,7 +56,7 @@ class ExperimentConfig:
         if not usable:
             raise ConfigError("output_path must be a non-empty string without NUL or unencodable characters")
         try:
-            tolerance = erasure.positive_number("tolerance", self.tolerance, float)
+            tolerance = states.positive_number("tolerance", self.tolerance, float)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "tolerance", tolerance)

@@ -18,10 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .erasure import positive_number
 from .measurement import balanced_pair
 from .schmidt import SchmidtDecomposition, reschmidt
-from .states import StateVector, UnitaryOperator
+from .states import StateVector, UnitaryOperator, positive_number
 
 CLASSIFY_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
@@ -89,8 +88,7 @@ def coherence_pair(params: CoherenceBasisParams) -> tuple[StateVector, StateVect
 
 def exchange_operator(d: int) -> UnitaryOperator:
     """Two-particle exchange |j>|k> -> |k>|j> on a d x d bipartite space."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = positive_number("d", d, int)
     swapped = np.arange(d * d).reshape(d, d).T.reshape(-1)  # row k*d + j holds j*d + k
     return UnitaryOperator(np.eye(d * d)[swapped])
 

@@ -35,14 +35,13 @@ tables built with it are left unnormalized.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .measurement import balanced_pair
-from .states import UnitaryOperator, coefficient_matrix, require_unit_norm
+from .states import EXACT_TOL, UnitaryOperator, coefficient_matrix, positive_number, require
 
 SUM_TOL = 1e-6
 DEFAULT_EQUALITY_TOL = 1e-9
@@ -74,27 +73,6 @@ _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
 }
 
 
-def positive_number(name: str, raw, kind: type) -> float | int:
-    """`raw` as a positive finite `kind`, or a ValueError naming the field.
-
-    Only real numbers are accepted: strings, booleans, NaN, infinities,
-    subnormal floats (too few significant bits to integrate on) and (for int
-    fields) non-integral values are rejected rather than coerced.
-    """
-    try:
-        if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
-            raise TypeError
-        value = kind(raw)
-        valid = math.isfinite(value) and (kind is float or value == raw)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}")
-    if value < np.finfo(float).tiny:
-        raise ValueError(f"{name} must be positive" + ("" if value <= 0 else " and not subnormal"))
-    return value
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(points)
@@ -105,7 +83,11 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Joint probabilities p(d, n) over outcome labels d and 1-based bins n."""
+    """Joint probabilities p(d, n) over outcome labels d and 1-based bins n.
+
+    Entries below -1e-12 are rejected; rounding can leave a null entry near
+    -1e-17, so the rest are clipped at 0 here, after that check.
+    """
 
     mode: str
     labels: tuple[str, ...]
@@ -122,14 +104,12 @@ class ProbabilityTable:
         centers = np.array(self.centers, dtype=float)
         if values.shape != (len(self.labels), centers.size):
             raise ValueError("values must have shape (len(labels), n_bins)")
-        if not np.min(values) >= -1e-12:
-            raise ValueError("probabilities must be nonnegative")
+        require("negative probability", -float(np.min(values)), 1e-12)
+        np.maximum(values, 0.0, out=values)
         # The integrated-amplitude rule is not normalizable across bins, so
         # only intensity tables are required to sum to one.
         if self.born_rule == "intensity":
-            total = float(values.sum())
-            if not abs(total - 1.0) <= SUM_TOL:
-                raise ValueError(f"table total {total!r} deviates from 1 beyond {SUM_TOL}")
+            require("|table total - 1|", abs(float(values.sum()) - 1.0), SUM_TOL)
         values.setflags(write=False)
         centers.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -177,10 +157,9 @@ class ErasureConfig:
             raise ValueError(f"basis must be one of {BASIS_CHOICES}")
         if self.born_rule not in BORN_RULES:
             raise ValueError(f"born_rule must be one of {BORN_RULES}")
-        if abs(self.span - self.n_bins * self.bin_width) > 1e-9 * self.span:
-            raise ValueError("span must equal n_bins * bin_width")
-        if self.span < 8.0 * self.envelope_width * (1.0 - 1e-12):
-            raise ValueError("span must cover the envelope support (8 * envelope_width)")
+        span = self.span
+        require("|span - n_bins * bin_width|", abs(span - self.n_bins * self.bin_width), 1e-9 * span)
+        require("envelope support 8 * envelope_width past span", 8.0 * self.envelope_width - span, 1e-12 * span)
 
     @property
     def support_half_width(self) -> float:
@@ -295,7 +274,7 @@ def run_simple_erasure(
         bin_operator = np.array([[length, integral(2.0 * kappa)], [integral(-2.0 * kappa), length]])
     partners = kets.conj() @ coefficient_matrix(balanced_pair(), (0,))
     values = np.einsum("dj,jkn,dk->dn", partners.conj(), bin_operator, partners).real / (2.0 * a)
-    return _table(config, "simple", labels, np.maximum(values, 0.0))
+    return _table(config, "simple", labels, values)
 
 
 def marker_states(config: ErasureConfig) -> np.ndarray:
@@ -344,7 +323,7 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
             # sqrt(w) * psi carries the full quadrature weight.
             pieces = np.vecdot(sqrt_w[width_of[block]], psi).T
         np.add.at(sums, bins[block] - 1, pieces)
-    require_unit_norm(math.sqrt(norm_sq))
+    require("|state vector norm - 1|", abs(math.sqrt(norm_sq) - 1.0), EXACT_TOL)
     return sums if intensity else sums[:, :, None] * sums[:, None, :].conj()
 
 
@@ -357,15 +336,14 @@ def run_delayed_choice(
     A click in bin n leaves the marker in its relative state rho_M(n)
     (`marker_states`), and the marker measured afterwards in basis {k_d}
     only reads it: p(d, n) = <k_d| rho_M(n) |k_d>.  This is the simple
-    route's trace taken in the opposite order, screen first.  Rounding can
-    leave a null entry near -1e-17, so p is clipped at 0.
+    route's trace taken in the opposite order, screen first.
 
     `marker_unitary` evolves the marker during the delay, after the screen
     detection and before the marker measurement.
     """
     labels, kets = _basis(config, marker_unitary)
     values = np.einsum("dm,nmk,dk->dn", kets.conj(), marker_states(config), kets).real
-    return _table(config, "delayed", labels, np.maximum(values, 0.0))
+    return _table(config, "delayed", labels, values)
 
 
 @dataclass(frozen=True)
@@ -394,8 +372,8 @@ def verify_equality(
     tolerance = positive_number("tolerance", tolerance, float)
     if t1.values.shape != t2.values.shape:
         raise ValueError("tables are indexed by different outcome/bin sets")
-    if not np.allclose(t1.centers, t2.centers, rtol=0.0, atol=1e-12):
-        raise ValueError("tables use different detector geometries")
+    offset = np.max(np.abs(t1.centers - t2.centers))
+    require("tables use different detector geometries (max center offset)", offset, 1e-12)
     diff = np.abs(t1.values - t2.values)
     flat = int(np.argmax(diff))
     i, j = np.unravel_index(flat, diff.shape)

@@ -21,11 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .states import (
-    StateVector, VectorLike, _as_vector, _partition, coefficient_matrix, partial_trace,
-    require_orthonormal, trace_norm_distance,
+    EXACT_TOL, StateVector, VectorLike, _as_vector, _partition, coefficient_matrix, partial_trace,
+    require, require_orthonormal, trace_norm_distance,
 )
-
-COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,7 @@ def mark_which_way(alpha: complex, beta: complex) -> StateVector:
     beta = complex(beta)
     if abs(alpha) <= 1e-12 or abs(beta) <= 1e-12:
         raise ValueError("mark_which_way requires both amplitudes nonzero")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
-        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+    require("||alpha|^2 + |beta|^2 - 1|", abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0), EXACT_TOL)
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = alpha
     amps[3] = beta
@@ -80,12 +77,8 @@ def distant_measure(
     require_orthonormal(vectors, "measurement basis")
 
     relative = vectors.conj() @ psi
-    total = float(np.vdot(relative, relative).real)
-    if not total >= 1.0 - COMPLETENESS_TOL:
-        raise ValueError(
-            f"measurement basis is incomplete on the state's support "
-            f"(probabilities sum to {total!r})"
-        )
+    missing = 1.0 - float(np.vdot(relative, relative).real)
+    require("measurement basis incomplete on the state's support (1 - total probability)", missing, EXACT_TOL)
     return relative
 
 
@@ -146,5 +139,5 @@ def cut_compare(
     mixture = np.einsum("kio,kjo->ij", branches, branches.conj())
 
     distance = trace_norm_distance(improper, mixture)
-    complete = abs(float(np.vdot(relative, relative).real) - 1.0) <= COMPLETENESS_TOL
+    complete = abs(float(np.vdot(relative, relative).real) - 1.0) <= EXACT_TOL
     return CutComparison(distance=distance, branches_complete=complete)

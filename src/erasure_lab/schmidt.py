@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .measurement import distant_measure
-from .states import StateVector, VectorLike, _as_vector, coefficient_matrix, require_orthonormal
+from .states import StateVector, VectorLike, _as_vector, coefficient_matrix, require, require_orthonormal
 
 SCHMIDT_CUTOFF = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -69,8 +69,7 @@ class SchmidtDecomposition:
             raise ValueError("coefficients and bases must have one entry per term")
         if not np.all(coeffs > 0):
             raise ValueError("Schmidt coefficients must be strictly positive")
-        if not abs(float(np.sum(coeffs**2)) - 1.0) <= 1e-8:
-            raise ValueError("squared coefficients must sum to 1")
+        require("|sum of squared coefficients - 1|", abs(float(np.sum(coeffs**2)) - 1.0), 1e-8)
         for arr in (coeffs, left, right):
             arr.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
@@ -128,8 +127,7 @@ def schmidt_decompose(state: StateVector, split: Sequence[int]) -> SchmidtDecomp
         left[k], right[k] = _fix_phase(left[k], right[k])
     dec = SchmidtDecomposition(s, left, right)
     error = np.linalg.norm(dec.matrix() - matrix)
-    if not error <= RECONSTRUCTION_TOL:
-        raise ValueError(f"decomposition failed to reconstruct the state (error {error:.3e})")
+    require("Schmidt decomposition reconstruction error", error, RECONSTRUCTION_TOL)
     return dec
 
 
@@ -167,16 +165,9 @@ def reschmidt(
     partners = partners / coeffs[:, None]
     overlap = partners.conj() @ partners.T
     off_diag = np.max(np.abs(overlap - np.eye(len(basis))))
-    if not off_diag <= BIORTHOGONALITY_TOL:
-        raise ValueError(
-            "expansion in the requested basis is not biorthogonal "
-            f"(partner overlap {off_diag:.3e}); the state is not degenerate "
-            "on the span of basis_left"
-        )
+    # The partners overlap unless the state is degenerate on the span of basis_left.
+    require("biorthogonality defect (max partner overlap)", off_diag, BIORTHOGONALITY_TOL)
     dec = SchmidtDecomposition(coeffs, basis, partners)
     residual = np.linalg.norm(dec.matrix() - coefficient_matrix(state, split))
-    if not residual <= RECONSTRUCTION_TOL:
-        raise ValueError(
-            f"basis_left does not span the state's correlated support (residual {residual:.3e})"
-        )
+    require("reconstruction residual (basis_left must span the state's support)", residual, RECONSTRUCTION_TOL)
     return dec

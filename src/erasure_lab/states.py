@@ -12,15 +12,42 @@ function; complex numbers are 64-bit per component throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-# The identities this library checks are exact, so a violation at these
-# scales indicates a bug rather than physics.
-NORM_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
+# The identities this library checks are exact, so a violation at this
+# scale indicates a bug rather than physics.
+EXACT_TOL = 1e-10
+
+
+def require(what: str, residual: float, tol: float) -> None:
+    """Reject unless `residual <= tol` (NaN fails), with a ValueError naming the check."""
+    if not residual <= tol:
+        raise ValueError(f"{what}: {float(residual)!r} exceeds tolerance {tol!r}")
+
+
+def positive_number(name: str, raw, kind: type) -> float | int:
+    """`raw` as a positive finite `kind`, or a ValueError naming the argument.
+
+    Only real numbers are accepted: strings, booleans, NaN, infinities,
+    subnormal floats (too few significant bits to integrate on) and (for int
+    arguments) non-integral values are rejected rather than coerced.
+    """
+    try:
+        if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+            raise TypeError
+        value = kind(raw)
+        valid = math.isfinite(value) and (kind is float or value == raw)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}")
+    if value < np.finfo(float).tiny:
+        raise ValueError(f"{name} must be positive" + ("" if value <= 0 else " and not subnormal"))
+    return value
 
 
 def _readonly(values, dtype=np.complex128) -> np.ndarray:
@@ -30,18 +57,11 @@ def _readonly(values, dtype=np.complex128) -> np.ndarray:
 
 
 def require_orthonormal(vectors: np.ndarray, what: str) -> None:
-    """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= ORTHONORMALITY_TOL."""
+    """Reject unless the rows of `vectors` are orthonormal: ||Gram - I||_F <= EXACT_TOL."""
     if not np.isfinite(vectors).all():
         raise ValueError(f"{what} has non-finite entries")
-    defect = float(np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors))))
-    if not defect <= ORTHONORMALITY_TOL:
-        raise ValueError(f"{what} is not orthonormal (Frobenius defect {defect:.3e})")
-
-
-def require_unit_norm(norm: float) -> None:
-    """Reject a state vector norm that deviates from 1 by more than NORM_TOL."""
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond tolerance")
+    defect = np.linalg.norm(vectors.conj() @ vectors.T - np.eye(len(vectors)))
+    require(f"{what} orthonormality defect ||Gram - I||_F", defect, EXACT_TOL)
 
 
 def _partition(dims: tuple[int, ...], subsystems: Sequence[int]):
@@ -75,7 +95,7 @@ class StateVector:
         total = math.prod(dims)
         if amps.ndim != 1 or amps.size != total:
             raise ValueError(f"expected {total} amplitudes, got array of shape {amps.shape}")
-        require_unit_norm(float(np.linalg.norm(amps)))
+        require("|state vector norm - 1|", abs(float(np.linalg.norm(amps)) - 1.0), EXACT_TOL)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -174,6 +194,7 @@ def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     """Haar-distributed random unitary via QR with phase correction."""
+    dim = positive_number("dim", dim, int)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))

@@ -289,7 +289,7 @@ class TestExitCodes:
         monkeypatch.setattr(erasure.ErasureConfig, "slit_modes", lambda self, x: 1.01 * slit_modes(self, x))
         assert run_cli(["erasure", "delayed", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: ValueError: state vector norm .* deviates from 1 beyond tolerance\n", err)
+        assert re.fullmatch(r"error: ValueError: \|state vector norm - 1\|: .* exceeds tolerance 1e-10\n", err)
 
 
 class TestVerifyGeometry:

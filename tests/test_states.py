@@ -1,5 +1,7 @@
 """Hilbert-space primitive tests: tensor products, partial traces, unitaries."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +14,13 @@ from erasure_lab import (
     UnitaryOperator,
     apply_unitary,
     basis_state,
+    exchange_operator,
     haar_random_unitary,
     partial_trace,
     tensor,
     trace_norm_distance,
 )
+from erasure_lab.states import require
 from helpers import partial_trace_oracle, random_state, trace_distance_oracle
 
 
@@ -215,3 +219,24 @@ def test_trace_norm_distance_basics():
 def test_haar_unitary_is_unitary(rng):
     u = haar_random_unitary(5, rng)
     np.testing.assert_allclose(u.matrix.conj().T @ u.matrix, np.eye(5), atol=1e-12)
+
+
+def test_require_passes_up_to_the_tolerance_and_fails_nan():
+    require("residual", 1e-10, 1e-10)
+    require("residual", -1.0, 1e-10)
+    message = "residual: 1.5e-10 exceeds tolerance 1e-10"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require("residual", np.float64(1.5e-10), 1e-10)
+    with pytest.raises(ValueError, match="^residual: nan exceeds tolerance 1e-10$"):
+        require("residual", math.nan, 1e-10)
+
+
+@pytest.mark.parametrize("raw", [True, None, "2", 2.5, math.nan, 0])
+@pytest.mark.parametrize(
+    "build,name",
+    [(exchange_operator, "d"), (lambda dim: haar_random_unitary(dim, np.random.default_rng(0)), "dim")],
+    ids=["exchange_operator", "haar_random_unitary"],
+)
+def test_dimension_arguments_must_be_positive_integers(build, name, raw):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(raw)

@@ -52,10 +52,6 @@ BORN_RULES = ("intensity", "amplitude")
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Most grid nodes `marker_states` holds at once; a block takes whole pieces,
-# so a piece of more nodes than this is a block of its own.
-BLOCK_NODES = 2**12
-
 # Marker measurement kets per basis choice, with outcome labels.
 _BASIS_KETS: dict[str, tuple[tuple[str, np.ndarray], ...]] = {
     "pm": (
@@ -288,42 +284,39 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     psi psi^dagger (intensity rule), or s s^dagger with s the bin sum of
     sqrt(w) psi (amplitude rule).  Its trace is the bin's detection value.
 
-    The grid is streamed in blocks of whole pieces, at most BLOCK_NODES
-    nodes each: every piece is reduced over its nodes to one 2x2 matrix
-    (intensity) or one pair of sums s (amplitude) and added into its bin, so
-    memory is set by the block, not by n_bins * quadrature_points.  The
-    coupled state's norm is checked as a running sum over the blocks.  The
-    modes are evaluated once per piece midpoint and once per node offset d:
-    psi_j(mid + d) = psi_j(mid) * psi_j(d) * sqrt(2a), as the phase is
-    additive and the grid cuts at +-a, so the window is constant on a piece.
+    No node amplitude is formed: psi_j(mid + d) = psi_j(mid) * psi_j(d) * sqrt(2a),
+    as the phase is additive and the grid cuts at +-a, so the window is
+    constant on a piece.  A piece's sum over its nodes is thus its midpoint
+    modes times one Gauss-Legendre sum over the offsets d of its half-width:
+    the 2x2 Gram of the offset modes (intensity) or their pair of sums
+    (amplitude), computed once per distinct half-width.  The pieces are added
+    into their bins, and the coupled state's norm is summed the same way.
     """
     mid, half, bins = quadrature_grid(config)
     base_x, base_w = _gauss_legendre(config.quadrature_points)
-    intensity = config.born_rule == "intensity"
-    # Per bin: rho_M(n) (intensity) or s (amplitude).
-    sums = np.zeros((config.n_bins, 2, 2) if intensity else (config.n_bins, 2), dtype=np.complex128)
-    norm_sq = 0.0
-    mid_modes = config.slit_modes(mid)
+    mid_modes = config.slit_modes(mid).T
     widths = np.array(sorted(set(half.tolist())))  # distinct half-widths; np.unique costs more on small grids
     width_of = np.searchsorted(widths, half)
-    sqrt_w = np.sqrt(widths[:, None] * base_w)
-    # Per distinct half-width: psi_j(d) * sqrt(2a), times the pair's sqrt(1/2) and each node's sqrt(w).
+    # Per distinct half-width: psi_j(d) * sqrt(2a) at each offset d, times the pair's sqrt(1/2).
     offset_modes = config.slit_modes(widths[:, None] * base_x)
-    offset_modes *= sqrt_w * (math.sqrt(2.0 * config.support_half_width) * _SQRT_HALF)
-    step = max(1, BLOCK_NODES // config.quadrature_points)
-    for start in range(0, mid.size, step):
-        block = slice(start, start + step)
-        # Amplitudes of the block's pieces, shape (2, pieces, quadrature_points).
-        psi = offset_modes[:, width_of[block]]
-        psi *= mid_modes[:, block, None]
-        norm_sq += np.vdot(psi, psi).real
-        if intensity:
-            pieces = np.vecdot(psi[None, :], psi[:, None]).transpose(2, 0, 1)
-        else:
-            # sqrt(w) * psi carries the full quadrature weight.
-            pieces = np.vecdot(sqrt_w[width_of[block]], psi).T
-        np.add.at(sums, bins[block] - 1, pieces)
+    offset_modes *= math.sqrt(2.0 * config.support_half_width) * _SQRT_HALF
+    weighted = offset_modes * (widths[:, None] * base_w)
+    # Per width: N_j(h) = sum_q h w_q |psi_j(h x_q)|^2, shape (widths, 2).
+    norms = np.vecdot(offset_modes, weighted).real.T
+    norm_sq = np.vdot(np.abs(mid_modes) ** 2, norms[width_of])
     require("|state vector norm - 1|", abs(math.sqrt(norm_sq) - 1.0), EXACT_TOL)
+    intensity = config.born_rule == "intensity"
+    if intensity:
+        # Per width: sum_q h w_q psi_m(h x_q) psi_k(h x_q)^*, shape (widths, 2, 2).
+        grams = np.vecdot(offset_modes[None, :], weighted[:, None]).transpose(2, 0, 1)
+        pieces = grams[width_of]
+        pieces *= mid_modes[:, :, None]
+        pieces *= mid_modes[:, None, :].conj()
+    else:
+        pieces = weighted.sum(axis=-1).T[width_of]
+        pieces *= mid_modes
+    sums = np.zeros((config.n_bins,) + pieces.shape[1:], dtype=np.complex128)
+    np.add.at(sums, bins - 1, pieces)
     return sums if intensity else sums[:, :, None] * sums[:, None, :].conj()
 
 

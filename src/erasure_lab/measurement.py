@@ -22,7 +22,7 @@ import numpy as np
 
 from .states import (
     EXACT_TOL, StateVector, VectorLike, _as_vector, _partition, coefficient_matrix, partial_trace,
-    require, require_orthonormal, trace_norm_distance,
+    positive_number, require, require_orthonormal, trace_norm_distance,
 )
 
 
@@ -93,6 +93,7 @@ def couple_shift_register(
     by indexing, so large control spaces (position grids) never materialize
     a matrix.
     """
+    register_dim = positive_number("register_dim", register_dim, int)
     shifts = np.asarray(shifts, dtype=int) % register_dim
     d_ctrl = state.dims[-1]
     if shifts.shape != (d_ctrl,):

@@ -131,7 +131,7 @@ class UnitaryOperator:
 
 def basis_state(dims: Sequence[int], indices: Sequence[int]) -> StateVector:
     """Computational basis ket |indices> of the composite space."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(positive_number("dims", d, int) for d in dims)
     indices = tuple(int(i) for i in indices)
     if len(indices) != len(dims):
         raise ValueError("need one basis index per subsystem")

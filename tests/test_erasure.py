@@ -475,22 +475,22 @@ class TestDelayedChoice:
 
     def test_memory_does_not_scale_with_register(self):
         # A dense (n_bins + 1)-slot register at 256 x 64 would take 32 * 256 * 64 * 257
-        # bytes (~128 MiB) per copy; the streamed grid is one block here, 2 * 256 * 64 * 16 bytes.
+        # bytes (~128 MiB) per copy; the route holds no array of its 256 * 64 nodes at all.
         peak = delayed_peak_bytes(ErasureConfig(n_bins=256, bin_width=8.0 / 256, quadrature_points=64))
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_4096_bins(self):
-        # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.  The
-        # grid is streamed in blocks of at most BLOCK_NODES = 2**12 nodes, so no
-        # array of N is held: a block's (2, 2**12) amplitudes take 128 KiB.
+        # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.  No
+        # array of N is held: each half-width has (2, 256) offset modes, and
+        # the per-piece 2x2 matrices (4096, 2, 2) take 256 KiB.
         peak = delayed_peak_bytes(ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256))
         assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_65536_bins(self):
         # 65536 x 64 nodes: N = 2**22.  Holding the flat grid, its (2, N) modes and
-        # the coupled state at once took about 0.4 GiB; per block, the route holds
-        # 2 * BLOCK_NODES amplitudes (128 KiB) beside the per-piece midpoint modes,
-        # the per-bin sums and the table.
+        # the coupled state at once took about 0.4 GiB; the route holds the per-piece
+        # midpoint modes and 2x2 matrices (65536, 2, 2) of 4 MiB, the per-bin sums
+        # and the table.
         peak = delayed_peak_bytes(ErasureConfig(n_bins=65536, bin_width=8.0 / 65536, quadrature_points=64))
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
@@ -566,40 +566,6 @@ class TestMarkerStates:
 
     def test_coarse_quadrature_shows_in_the_states(self):
         assert worst_state_distance(ErasureConfig(quadrature_points=1)) > 1e-3
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        born_rule=st.sampled_from(BORN_RULES),
-        kappa=st.floats(2**-4, 4.0),
-        n_bins=st.integers(1, 32),
-        bin_width=st.floats(2**-10, 16.0),
-        window=st.floats(0.0, 1.0, exclude_max=True),
-        points=st.integers(1, 64),
-    )
-    @example(born_rule="amplitude", kappa=3 * math.pi / 8, n_bins=16, bin_width=0.5, window=0.1, points=8)
-    def test_block_size_leaves_states_unchanged(self, born_rule, kappa, n_bins, bin_width, window, points):
-        # The window edge at support_half_width = span / 2 * (1 - window) cuts a
-        # bin in two whenever it misses the bin edges.
-        span = n_bins * bin_width
-        config = ErasureConfig(
-            envelope_width=span / 8.0 * (1.0 - window),
-            phase_gradient=kappa,
-            n_bins=n_bins,
-            bin_width=bin_width,
-            span=span,
-            born_rule=born_rule,
-            quadrature_points=points,
-        )
-        _, _, bins = quadrature_grid(config)
-        # One piece per block, and a block boundary between a cut bin's two pieces.
-        block_sizes = [points] + [points * (j + 1) for j in np.flatnonzero(bins[1:] == bins[:-1])[:1]]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(erasure, "BLOCK_NODES", bins.size * points)
-            whole = marker_states(config)
-            for block_nodes in block_sizes:
-                patch.setattr(erasure, "BLOCK_NODES", block_nodes)
-                deviation = float(np.max(np.abs(marker_states(config) - whole)))
-                assert deviation <= 1e-15, f"BLOCK_NODES = {block_nodes}: deviation {deviation}"
 
 
 class TestVerifyEquality:

@@ -14,6 +14,7 @@ from erasure_lab import (
     UnitaryOperator,
     apply_unitary,
     basis_state,
+    couple_shift_register,
     exchange_operator,
     haar_random_unitary,
     partial_trace,
@@ -231,11 +232,16 @@ def test_require_passes_up_to_the_tolerance_and_fails_nan():
         require("residual", math.nan, 1e-10)
 
 
-@pytest.mark.parametrize("raw", [True, None, "2", 2.5, math.nan, 0])
+@pytest.mark.parametrize("raw", [True, None, "2", 2.5, math.nan, math.inf, 0])
 @pytest.mark.parametrize(
     "build,name",
-    [(exchange_operator, "d"), (lambda dim: haar_random_unitary(dim, np.random.default_rng(0)), "dim")],
-    ids=["exchange_operator", "haar_random_unitary"],
+    [
+        (exchange_operator, "d"),
+        (lambda dim: haar_random_unitary(dim, np.random.default_rng(0)), "dim"),
+        (lambda dim: basis_state((dim,), (0,)), "dims"),
+        (lambda dim: couple_shift_register(basis_state((2,), (0,)), [0, 1], dim), "register_dim"),
+    ],
+    ids=["exchange_operator", "haar_random_unitary", "basis_state", "couple_shift_register"],
 )
 def test_dimension_arguments_must_be_positive_integers(build, name, raw):
     with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -4,9 +4,9 @@ A coherence vector is a superposition of the two which-way states with both
 components nonzero.  Re-expanding the maximally entangled pair in such a
 basis produces product terms whose behaviour under the two-particle exchange
 operator singles out two special bases: the one whose terms are each
-exchange-invariant, and the one whose terms are swapped.  A brute-force grid
-search over the basis phases verifies that, up to an overall phase on either
-basis vector, exactly one basis of each kind exists.
+exchange-invariant, and the one whose terms are swapped.  A grid search over
+the relative phase verifies that exactly one basis of each kind exists; the
+antilinear partner map cancels an overall phase in every expansion term.
 """
 
 from __future__ import annotations
@@ -122,39 +122,23 @@ def classify_symmetry(dec: SchmidtDecomposition) -> SymmetryClass:
 def search_symmetric_bases(grid_steps: int) -> list[tuple[CoherenceBasisParams, SymmetryClass]]:
     """Grid search for exchange-symmetric coherence expansions of the balanced pair.
 
-    Sweeps lam, delta over {2*pi*k/grid_steps} with gamma = 0 and
+    Sweeps delta over {2*pi*k/grid_steps} with lam = gamma = 0 and
     p = q = sqrt(1/2), re-expands the maximally entangled pair in each basis
-    and keeps the grid points whose terms are exchange-symmetric or
-    exchange-swapped.
-
-    Raw hits fill whole lines delta - lam = const, since an overall phase on a
-    basis vector never changes the expansion terms.  Each hit is reduced to
-    its phase-convention representative (lam = 0, gamma = 0) and duplicates
-    are dropped, so the returned points are the distinct bases themselves.
+    and keeps the exchange-symmetric or exchange-swapped expansions, by class
+    and then delta.  lam and gamma are overall phases of the basis vectors; the
+    antilinear partner map conjugates them, so they cancel in every term.
     """
     grid_steps = positive_number("grid_steps", grid_steps, int)
     if grid_steps < 8:
         raise ValueError("grid_steps must be at least 8")
     pair = balanced_pair()
-    hits: list[tuple[int, int, SymmetryClass]] = []
-    for k_lam in range(grid_steps):
-        for k_delta in range(grid_steps):
-            params = CoherenceBasisParams.balanced(
-                lam=_TWO_PI * k_lam / grid_steps,
-                delta=_TWO_PI * k_delta / grid_steps,
-            )
-            a, b = coherence_pair(params)
-            dec = reschmidt(pair, (0,), [a, b])
-            cls = classify_symmetry(dec)
-            if cls is not SymmetryClass.NEITHER:
-                hits.append((k_lam, k_delta, cls))
-
-    reduced = {((k_delta - k_lam) % grid_steps, cls) for k_lam, k_delta, cls in hits}
-    ordered = sorted(reduced, key=lambda item: (item[1].value, item[0]))
-    return [
-        (CoherenceBasisParams.balanced(lam=0.0, delta=_TWO_PI * k / grid_steps), cls)
-        for k, cls in ordered
-    ]
+    found = []
+    for k in range(grid_steps):
+        params = CoherenceBasisParams.balanced(delta=_TWO_PI * k / grid_steps)
+        cls = classify_symmetry(reschmidt(pair, (0,), coherence_pair(params)))
+        if cls is not SymmetryClass.NEITHER:
+            found.append((params, cls))
+    return sorted(found, key=lambda item: item[1].value)
 
 
 def search_results_csv(results: list[tuple[CoherenceBasisParams, SymmetryClass]]) -> str:

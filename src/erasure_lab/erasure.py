@@ -341,7 +341,12 @@ def run_delayed_choice(
 
 @dataclass(frozen=True)
 class EqualityReport:
-    """Elementwise comparison of two probability tables."""
+    """Elementwise comparison of two probability tables.
+
+    `worst_label`/`worst_bin` name the first cell of maximal deviation; mirrored
+    bins that tie exactly can trade places on last-digit changes, so compare
+    `max_deviation` across versions, not the cell.
+    """
 
     max_deviation: float
     tolerance: float
@@ -360,7 +365,8 @@ def verify_equality(
     Entries are compared positionally (outcome slot by outcome slot), so
     tables from different pipelines or bases can be set against each other
     as long as their shapes and detector geometries agree.  `tolerance` must
-    be a positive finite number, the rule the CLI applies to its own.
+    be a positive finite number, the rule the CLI applies to its own.  The
+    worst cell is the first one at the maximum (see `EqualityReport` on ties).
     """
     tolerance = positive_number("tolerance", tolerance, float)
     if t1.values.shape != t2.values.shape:
@@ -368,8 +374,7 @@ def verify_equality(
     offset = np.max(np.abs(t1.centers - t2.centers))
     require("tables use different detector geometries (max center offset)", offset, 1e-12)
     diff = np.abs(t1.values - t2.values)
-    flat = int(np.argmax(diff))
-    i, j = np.unravel_index(flat, diff.shape)
+    i, j = np.unravel_index(np.argmax(diff), diff.shape)
     max_dev = float(diff[i, j])
     return EqualityReport(
         max_deviation=max_dev,

@@ -15,14 +15,15 @@ of the outcomes' |r_k><r_k|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .states import (
-    EXACT_TOL, StateVector, VectorLike, _as_vector, _partition, coefficient_matrix, partial_trace,
-    positive_number, require, require_orthonormal, trace_norm_distance,
+    EXACT_TOL, StateVector, VectorLike, _as_vector, _index, _partition, coefficient_matrix,
+    partial_trace, positive_number, require, require_orthonormal, trace_norm_distance,
 )
 
 
@@ -41,8 +42,10 @@ def mark_which_way(alpha: complex, beta: complex) -> StateVector:
     pair, leaving the marked subsystem with no off-diagonal coherence.
     Both amplitudes must be nonzero, else nothing is marked.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
+    for name, raw in (("alpha", alpha), ("beta", beta)):
+        if isinstance(raw, bool) or not isinstance(raw, numbers.Number):
+            raise ValueError(f"{name} must be a complex number, got {raw!r}")
+    alpha, beta = complex(alpha), complex(beta)
     if abs(alpha) <= 1e-12 or abs(beta) <= 1e-12:
         raise ValueError("mark_which_way requires both amplitudes nonzero")
     require("||alpha|^2 + |beta|^2 - 1|", abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0), EXACT_TOL)
@@ -122,7 +125,7 @@ def cut_compare(
     as a diagnostic.
     """
     split, rest = _partition(global_state.dims, split)
-    compare = tuple(compare) if compare is not None else rest
+    compare = rest if compare is None else tuple(_index("subsystem index", i) for i in compare)
     for i in compare:
         if i not in rest:
             raise ValueError(f"subsystem {i} is not part of the unmeasured remainder")

@@ -64,9 +64,16 @@ def require_orthonormal(vectors: np.ndarray, what: str) -> None:
     require(f"{what} orthonormality defect ||Gram - I||_F", defect, EXACT_TOL)
 
 
+def _index(what: str, raw) -> int:
+    """`raw` as an int (numpy integers included), or a ValueError naming it."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
+        raise ValueError(f"{what} {raw!r} is not an integer")
+    return int(raw)
+
+
 def _partition(dims: tuple[int, ...], subsystems: Sequence[int]):
     """The validated `subsystems` of a space with `dims`, and the other indices ascending."""
-    subsystems = tuple(int(i) for i in subsystems)
+    subsystems = tuple(_index("subsystem index", i) for i in subsystems)
     if len(set(subsystems)) != len(subsystems):
         raise ValueError(f"duplicate subsystem indices in {subsystems}")
     for i in subsystems:
@@ -87,10 +94,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(self.dims)
-        if not dims or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        dims = tuple(positive_number("dims", d, int) for d in self.dims)
+        if not dims:
             raise ValueError(f"need at least one subsystem, each of dimension >= 1; got {dims}")
-        dims = tuple(int(d) for d in dims)
         amps = _readonly(self.amplitudes)
         total = math.prod(dims)
         if amps.ndim != 1 or amps.size != total:
@@ -132,9 +138,9 @@ class UnitaryOperator:
 def basis_state(dims: Sequence[int], indices: Sequence[int]) -> StateVector:
     """Computational basis ket |indices> of the composite space."""
     dims = tuple(positive_number("dims", d, int) for d in dims)
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != len(dims):
-        raise ValueError("need one basis index per subsystem")
+    indices = tuple(_index("basis index", i) for i in indices)
+    if len(indices) != len(dims) or not all(0 <= i < d for i, d in zip(indices, dims)):
+        raise ValueError(f"need one basis index per subsystem, within its dimension; got {indices}")
     amps = np.zeros(int(np.prod(dims)), dtype=np.complex128)
     amps[int(np.ravel_multi_index(indices, dims))] = 1.0
     return StateVector(dims, amps)

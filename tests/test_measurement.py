@@ -67,6 +67,17 @@ class TestMarkWhichWay:
         with pytest.raises(ValueError, match="\\|alpha\\|"):
             mark_which_way(1.0, 1.0)
 
+    @pytest.mark.parametrize("raw", [None, "1", True, [SQRT_HALF]])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_rejects_non_numeric_amplitudes(self, name, raw):
+        amplitudes = {"alpha": SQRT_HALF, "beta": SQRT_HALF, name: raw}
+        with pytest.raises(ValueError, match=f"^{name} must be a complex number, got "):
+            mark_which_way(**amplitudes)
+
+    def test_accepts_numpy_amplitudes(self):
+        state = mark_which_way(np.float64(0.6), np.complex128(0.8j))
+        np.testing.assert_allclose(state.amplitudes, [0.6, 0, 0, 0.8j], atol=1e-15)
+
 
 class TestDistantMeasure:
     def test_which_way_outcomes(self, balanced_pair):

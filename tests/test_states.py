@@ -15,6 +15,7 @@ from erasure_lab import (
     apply_unitary,
     basis_state,
     couple_shift_register,
+    distant_measure,
     exchange_operator,
     haar_random_unitary,
     partial_trace,
@@ -32,7 +33,7 @@ def rng():
 
 class TestTypes:
     def test_hilbert_shape_validation(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^dims must be positive$"):
             StateVector((2, 0), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="dimension"):
             StateVector((), np.array([1.0]))
@@ -240,9 +241,57 @@ def test_require_passes_up_to_the_tolerance_and_fails_nan():
         (lambda dim: haar_random_unitary(dim, np.random.default_rng(0)), "dim"),
         (lambda dim: basis_state((dim,), (0,)), "dims"),
         (lambda dim: couple_shift_register(basis_state((2,), (0,)), [0, 1], dim), "register_dim"),
+        (lambda dim: StateVector((dim,), [1.0]), "dims"),
     ],
-    ids=["exchange_operator", "haar_random_unitary", "basis_state", "couple_shift_register"],
+    ids=[
+        "exchange_operator", "haar_random_unitary", "basis_state", "couple_shift_register", "StateVector",
+    ],
 )
 def test_dimension_arguments_must_be_positive_integers(build, name, raw):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build(raw)
+
+
+def test_integral_dims_are_normalized_to_int():
+    state = StateVector((2.0, np.int64(1)), [1.0, 0.0])
+    assert state.dims == (2, 1) and all(type(d) is int for d in state.dims)
+
+
+INDEX_BUILDERS = pytest.mark.parametrize(
+    "build,what",
+    [
+        (lambda i: partial_trace(basis_state((2, 2), (0, 1)), [i]), "subsystem index"),
+        (lambda i: apply_unitary(basis_state((2, 2), (0, 1)), exchange_operator(2), [0, i]), "subsystem index"),
+        (lambda i: distant_measure(basis_state((2, 2), (0, 1)), [i], np.eye(2)), "subsystem index"),
+        (lambda i: basis_state((2, 2), (0, i)), "basis index"),
+    ],
+    ids=["partial_trace", "apply_unitary", "distant_measure", "basis_state"],
+)
+
+
+@pytest.mark.parametrize("raw", [True, "1", 0.7, None, math.nan], ids=repr)
+@INDEX_BUILDERS
+def test_indices_must_be_integers(build, what, raw):
+    with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(raw))} is not an integer$"):
+        build(raw)
+
+
+@pytest.mark.parametrize("index", [np.int64(1), np.uint8(1)], ids=repr)
+@INDEX_BUILDERS
+def test_numpy_integer_indices_act_as_ints(build, what, index):
+    def values(out):
+        return getattr(out, "amplitudes", out)
+
+    np.testing.assert_array_equal(values(build(index)), values(build(1)))
+
+
+def test_indices_may_come_from_a_generator():
+    state = basis_state((2, 2), (0, 1))
+    np.testing.assert_array_equal(partial_trace(state, (i for i in [1])), partial_trace(state, [1]))
+    assert basis_state((2, 2), (i for i in (0, 1))).amplitudes[1] == 1
+
+
+@pytest.mark.parametrize("indices", [(0, 2), (-1, 0), (0,)])
+def test_basis_indices_must_fit_their_dimensions(indices):
+    with pytest.raises(ValueError, match="^need one basis index per subsystem, within its dimension"):
+        basis_state((2, 2), indices)

@@ -110,11 +110,11 @@ def classify_symmetry(dec: SchmidtDecomposition) -> SymmetryClass:
     """
     if dec.rank != 2 or dec.dim_left != 2 or dec.dim_right != 2:
         raise ValueError("classification requires a rank-2 decomposition on a 2x2 space")
-    e = exchange_operator(2).matrix
     t0, t1 = dec.term(0), dec.term(1)
-    if _matches_up_to_phase(e @ t0, t0) and _matches_up_to_phase(e @ t1, t1):
+    s0, s1 = (t.reshape(2, 2).T.reshape(-1) for t in (t0, t1))  # exchanged: 2x2 coefficients transposed
+    if _matches_up_to_phase(s0, t0) and _matches_up_to_phase(s1, t1):
         return SymmetryClass.TERMWISE_SYMMETRIC
-    if _matches_up_to_phase(e @ t0, t1) and _matches_up_to_phase(e @ t1, t0):
+    if _matches_up_to_phase(s0, t1) and _matches_up_to_phase(s1, t0):
         return SymmetryClass.TERM_SWAPPING
     return SymmetryClass.NEITHER
 

@@ -19,9 +19,9 @@ Both compute Tr[(|k_d><k_d| x E_n) |Psi><Psi|], the simple route marker
 first and the delayed route screen first.  A free marker evolution U before
 the marker measurement enters both as the measured kets U^dagger k_d.
 
-The simple pipeline bins in closed form and only the delayed one uses a
-quadrature grid, so the maximum deviation between their tables that
-`verify_equality` reports is the delayed route's discretization error.
+Both read the detector bins clipped to the window from `quadrature_grid`;
+only the delayed one puts quadrature nodes on them, so the maximum deviation
+between their tables that `verify_equality` reports is its discretization error.
 
 The screen model, the detector bins and the quadrature size are the one
 validated `ErasureConfig`; its `slit_modes` docstring gives the formula.
@@ -81,8 +81,9 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
 class ProbabilityTable:
     """Joint probabilities p(d, n) over outcome labels d and 1-based bins n.
 
-    Entries below -1e-12 are rejected; rounding can leave a null entry near
-    -1e-17, so the rest are clipped at 0 here, after that check.
+    Values and centers must be finite real numbers.  Entries below -1e-12 are
+    rejected; rounding can leave a null entry near -1e-17, so the rest are
+    clipped at 0 here, after that check.
     """
 
     mode: str
@@ -96,8 +97,11 @@ class ProbabilityTable:
             raise ValueError(f"mode must be one of {MODES}")
         if self.born_rule not in BORN_RULES:
             raise ValueError(f"born_rule must be one of {BORN_RULES}")
-        values = np.array(self.values, dtype=float)
-        centers = np.array(self.centers, dtype=float)
+        values, centers = np.asarray(self.values), np.asarray(self.centers)
+        for name, array in (("values", values), ("centers", centers)):
+            if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite real numbers")
+        values, centers = values.astype(float), centers.astype(float)
         if values.shape != (len(self.labels), centers.size):
             raise ValueError("values must have shape (len(labels), n_bins)")
         require("negative probability", -float(np.min(values)), 1e-12)
@@ -194,20 +198,18 @@ class ErasureConfig:
         return modes
 
 
-def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's pieces: midpoints, half-widths, and the 1-based bin of each piece.
+def quadrature_grid(config: ErasureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each detector bin clipped to the window |x| <= support_half_width: midpoints, half-widths.
 
-    A piece is a detector bin, or one side of a bin that contains the window
-    edge +-support_half_width and is cut there.  Each piece carries the
-    `quadrature_points` Gauss-Legendre nodes mid + half * x_q, weights
-    half * w_q, strictly inside it, so no rule straddles the envelope's jump
-    and every node belongs to one detector.
+    Bin [lo, hi] becomes the piece [max(lo, -a), min(hi, a)], of half-width 0
+    when the bin lies outside the window.  The modes vanish off the piece, so
+    the clip drops only exact zeros, and the window is constant on it.  The
+    delayed route puts `quadrature_points` Gauss-Legendre nodes mid + half * x_q,
+    weights half * w_q, on each piece; the simple route integrates it in closed form.
     """
     edges, a = config.bin_edges, config.support_half_width
-    window = [x for x in (-a, a) if edges[0] < x < edges[-1] and x not in edges]
-    cuts = np.sort(np.append(edges, window))
-    mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
-    return mid, half, np.searchsorted(edges, mid)
+    lo, hi = np.maximum(edges[:-1], -a), np.minimum(edges[1:], a)
+    return (hi + lo) / 2.0, np.maximum(hi - lo, 0.0) / 2.0
 
 
 def _table(config: ErasureConfig, pipeline: str, labels, values) -> ProbabilityTable:
@@ -241,22 +243,21 @@ def run_simple_erasure(
     unnormalized partner superposition chi_d = (<k_d| x 1)|source>, with
     coefficients on the slit modes psi_1, psi_2.  Its detection value in bin n
     is p(d, n) = <chi_d| E_n |chi_d>, where E_n is the bin's 2x2 operator on the
-    slit modes, in closed form.  On a bin clipped to the window |x| <= a,
-    [lo, hi], both Born rules reduce, times the squared window height 1 / (2a),
-    to I(w) = int_lo^hi exp(i w x) dx, kept precise as w -> 0 in the form
-    exp(i w m) * L * sinc(w L / 2), with L = hi - lo and m the midpoint:
-    E_n = [[L, I(2 kappa)], [I(-2 kappa), L]] (intensity), or conj(v) v^T with
-    v = (I(-kappa), I(kappa)) (amplitude).  This is the delayed route's trace
-    taken in the opposite order, marker first.
+    slit modes, in closed form.  On the bin clipped to the window |x| <= a,
+    its piece [lo, hi] from `quadrature_grid`, both Born rules reduce, times
+    the squared window height 1 / (2a), to I(w) = int_lo^hi exp(i w x) dx,
+    kept precise as w -> 0 in the form exp(i w m) * L * sinc(w L / 2), with
+    L = hi - lo and m the midpoint: E_n = [[L, I(2 kappa)], [I(-2 kappa), L]]
+    (intensity), or conj(v) v^T with v = (I(-kappa), I(kappa)) (amplitude).
+    This is the delayed route's trace taken in the opposite order, marker first.
 
     `marker_unitary` is an optional free evolution of the marker before its
     measurement (identity by default); injecting the same unitary into both
     pipelines must leave their equality intact.
     """
     labels, kets = _basis(config, marker_unitary)
-    edges, a = config.bin_edges, config.support_half_width
-    lo, hi = np.maximum(edges[:-1], -a), np.minimum(edges[1:], a)
-    length, mid = np.maximum(hi - lo, 0.0), (hi + lo) / 2.0
+    mid, half = quadrature_grid(config)
+    length, a = 2.0 * half, config.support_half_width
 
     def integral(omega: float) -> np.ndarray:
         return np.exp(1j * omega * mid) * length * np.sinc(omega * length / (2.0 * math.pi))
@@ -284,15 +285,16 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     psi psi^dagger (intensity rule), or s s^dagger with s the bin sum of
     sqrt(w) psi (amplitude rule).  Its trace is the bin's detection value.
 
-    No node amplitude is formed: psi_j(mid + d) = psi_j(mid) * psi_j(d) * sqrt(2a),
-    as the phase is additive and the grid cuts at +-a, so the window is
-    constant on a piece.  A piece's sum over its nodes is thus its midpoint
-    modes times one Gauss-Legendre sum over the offsets d of its half-width:
-    the 2x2 Gram of the offset modes (intensity) or their pair of sums
-    (amplitude), computed once per distinct half-width.  The pieces are added
-    into their bins, and the coupled state's norm is summed the same way.
+    Each bin is one piece, clipped to the window (`quadrature_grid`); the
+    modes vanish on the rest of the bin, so the clip is exact.  No node
+    amplitude is formed: psi_j(mid + d) = psi_j(mid) * psi_j(d) * sqrt(2a), as
+    the phase is additive and the window is constant on a piece.  A bin's sum
+    over its nodes is thus its midpoint modes times one Gauss-Legendre sum over
+    the offsets d of its half-width: the 2x2 Gram of the offset modes
+    (intensity) or their pair of sums (amplitude), once per distinct half-width.
+    The coupled state's norm is summed the same way.
     """
-    mid, half, bins = quadrature_grid(config)
+    mid, half = quadrature_grid(config)
     base_x, base_w = _gauss_legendre(config.quadrature_points)
     mid_modes = config.slit_modes(mid).T
     widths = np.array(sorted(set(half.tolist())))  # distinct half-widths; np.unique costs more on small grids
@@ -305,19 +307,16 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     norms = np.vecdot(offset_modes, weighted).real.T
     norm_sq = np.vdot(np.abs(mid_modes) ** 2, norms[width_of])
     require("|state vector norm - 1|", abs(math.sqrt(norm_sq) - 1.0), EXACT_TOL)
-    intensity = config.born_rule == "intensity"
-    if intensity:
+    if config.born_rule == "intensity":
         # Per width: sum_q h w_q psi_m(h x_q) psi_k(h x_q)^*, shape (widths, 2, 2).
         grams = np.vecdot(offset_modes[None, :], weighted[:, None]).transpose(2, 0, 1)
-        pieces = grams[width_of]
-        pieces *= mid_modes[:, :, None]
-        pieces *= mid_modes[:, None, :].conj()
-    else:
-        pieces = weighted.sum(axis=-1).T[width_of]
-        pieces *= mid_modes
-    sums = np.zeros((config.n_bins,) + pieces.shape[1:], dtype=np.complex128)
-    np.add.at(sums, bins - 1, pieces)
-    return sums if intensity else sums[:, :, None] * sums[:, None, :].conj()
+        rho = grams[width_of]
+        rho *= mid_modes[:, :, None]
+        rho *= mid_modes[:, None, :].conj()
+        return rho
+    sums = weighted.sum(axis=-1).T[width_of]
+    sums *= mid_modes
+    return sums[:, :, None] * sums[:, None, :].conj()
 
 
 def run_delayed_choice(

@@ -136,14 +136,14 @@ def _measure_marker(config, pipeline: str, state: StateVector, marker_unitary, r
 def flat_grid(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The delayed route's quadrature grid, flat: every node, its weight, and its 1-based bin.
 
-    Expands each piece of `quadrature_grid(config)` into its Gauss-Legendre
-    nodes mid + half * x_q and weights half * w_q, piece after piece.
+    Expands each bin's piece of `quadrature_grid(config)` into its
+    Gauss-Legendre nodes mid + half * x_q and weights half * w_q, bin after bin.
     """
-    mid, half, bins = quadrature_grid(config)
+    mid, half = quadrature_grid(config)
     base_x, base_w = _legendre(config.quadrature_points)
     nodes = (mid[:, None] + half[:, None] * base_x).reshape(-1)
     weights = (half[:, None] * base_w).reshape(-1)
-    return nodes, weights, np.repeat(bins, config.quadrature_points)
+    return nodes, weights, np.repeat(np.arange(1, config.n_bins + 1), config.quadrature_points)
 
 
 def dense_delayed_table(config, marker_unitary=None):

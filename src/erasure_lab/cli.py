@@ -4,7 +4,9 @@ Usage: erasure-lab <command> [--config PATH] [--out DIR] [--tolerance FLOAT]
 
 Commands: schmidt, search-bases, erasure simple|delayed|whichway, verify,
 cut-demo.  Exit codes: 0 success, 1 verification failure, 2 config error,
-3 I/O error, 4 internal or resource error.  Output is deterministic: the
+3 I/O error, 4 internal or resource error.  A command's outputs and report
+are written after it has computed them, into an output directory created
+once, so a command that raises writes nothing.  Output is deterministic: the
 same config always produces byte-identical files.
 """
 
@@ -133,13 +135,7 @@ def _report_name(command: str) -> str:
     return command.replace(" ", "_") + "_report.json"
 
 
-def _write(out_dir: Path, name: str, content: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(content)
-    return name
-
-
-def _run_schmidt(config: ExperimentConfig, out_dir: Path):
+def _run_schmidt(config: ExperimentConfig):
     pair = measurement.balanced_pair()
     dec = schmidt.schmidt_decompose(pair, (0,))
     epr = schmidt.is_epr_type(dec)
@@ -148,49 +144,44 @@ def _run_schmidt(config: ExperimentConfig, out_dir: Path):
         f"rank: {dec.rank}",
         f"epr_type: {str(epr).lower()}",
     ]
-    return True, None, lines, []
+    return True, None, lines, {}
 
 
-def _run_search_bases(config: ExperimentConfig, out_dir: Path):
+def _run_search_bases(config: ExperimentConfig):
     results = coherence.search_symmetric_bases(_SEARCH_GRID_STEPS)
-    csv_path = _write(out_dir, "symmetric_bases.csv", coherence.search_results_csv(results))
     lines = [f"grid_steps: {_SEARCH_GRID_STEPS}", f"bases found: {len(results)}"]
     for params, cls in results:
         lines.append(f"  lambda={params.lam:.6g} delta={params.delta:.6g} -> {cls.value}")
-    return True, None, lines, [csv_path]
+    return True, None, lines, {"symmetric_bases.csv": lambda: coherence.search_results_csv(results)}
 
 
-def _run_erasure(config: ExperimentConfig, out_dir: Path, pipeline: str):
+def _run_erasure(config: ExperimentConfig, pipeline: str):
     cfg = config.erasure
     if pipeline == "whichway":
         cfg = dataclasses.replace(cfg, basis="whichway")
     run = erasure.run_delayed_choice if pipeline == "delayed" else erasure.run_simple_erasure
     table = run(cfg)
-    csv_path = _write(out_dir, f"erasure_{pipeline}.csv", table.to_csv())
     lines = [
         f"pipeline: {pipeline}",
         f"basis: {cfg.basis}",
         f"born_rule: {cfg.born_rule}",
         f"total probability: {float(table.values.sum()):.17g}",
     ]
-    return True, None, lines, [csv_path]
+    return True, None, lines, {f"erasure_{pipeline}.csv": table.to_csv}
 
 
-def _run_verify(config: ExperimentConfig, out_dir: Path):
+def _run_verify(config: ExperimentConfig):
     simple = erasure.run_simple_erasure(config.erasure)
     delayed = erasure.run_delayed_choice(config.erasure)
     report = erasure.verify_equality(simple, delayed, tolerance=config.tolerance)
-    files = [
-        _write(out_dir, "verify_simple.csv", simple.to_csv()),
-        _write(out_dir, "verify_delayed.csv", delayed.to_csv()),
-    ]
     verdict = "PASS" if report.passed else "FAIL"
     lines = [
         f"max deviation {'<' if report.passed else '>='} {report.tolerance:g}: {verdict}",
         f"max |p_delayed - p_simple| = {report.max_deviation:.17g} "
         f"at d={report.worst_label} n={report.worst_bin}",
     ]
-    return report.passed, report.max_deviation, lines, files
+    outputs = {"verify_simple.csv": simple.to_csv, "verify_delayed.csv": delayed.to_csv}
+    return report.passed, report.max_deviation, lines, outputs
 
 
 def _cut_demo_scenario(rng: np.random.Generator) -> float:
@@ -236,7 +227,7 @@ def _cut_demo_scenario(rng: np.random.Generator) -> float:
     return result.distance
 
 
-def _run_cut_demo(config: ExperimentConfig, out_dir: Path):
+def _run_cut_demo(config: ExperimentConfig):
     rng = np.random.default_rng(_CUT_DEMO_SEED)
     distances = [_cut_demo_scenario(rng) for _ in range(_CUT_DEMO_RUNS)]
     worst = max(distances)
@@ -246,15 +237,15 @@ def _run_cut_demo(config: ExperimentConfig, out_dir: Path):
         f"max trace-norm distance (improper vs proper mixture): {worst:.17g}",
         f"tolerance {config.tolerance:g}: {'PASS' if passed else 'FAIL'}",
     ]
-    return passed, worst, lines, []
+    return passed, worst, lines, {}
 
 
 _RUNNERS = {
     "schmidt": _run_schmidt,
     "search-bases": _run_search_bases,
-    "erasure simple": lambda c, d: _run_erasure(c, d, "simple"),
-    "erasure delayed": lambda c, d: _run_erasure(c, d, "delayed"),
-    "erasure whichway": lambda c, d: _run_erasure(c, d, "whichway"),
+    "erasure simple": lambda c: _run_erasure(c, "simple"),
+    "erasure delayed": lambda c: _run_erasure(c, "delayed"),
+    "erasure whichway": lambda c: _run_erasure(c, "whichway"),
     "verify": _run_verify,
     "cut-demo": _run_cut_demo,
 }
@@ -262,18 +253,22 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def execute(config: ExperimentConfig) -> RunReport:
-    """Run the configured command and write its outputs under output_path."""
-    out_dir = Path(config.output_path)
-    passed, deviation, lines, files = _RUNNERS[config.command](config, out_dir)
+    """Run the configured command, then write its outputs and report under output_path.
+
+    Each output is rendered as its file is written, so one text is held at a time."""
+    passed, deviation, lines, outputs = _RUNNERS[config.command](config)
     report = RunReport(
         command=config.command,
         config_hash=config_hash(config),
         passed=bool(passed),
         max_deviation=None if deviation is None else float(deviation),
         summary=tuple(lines),
-        files=tuple(files),
+        files=tuple(outputs),
     )
-    _write(out_dir, _report_name(config.command), report.to_json())
+    out_dir = Path(config.output_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, render in (*outputs.items(), (_report_name(config.command), report.to_json)):
+        (out_dir / name).write_text(render())
     return report
 
 

@@ -97,11 +97,14 @@ class ProbabilityTable:
             raise ValueError(f"mode must be one of {MODES}")
         if self.born_rule not in BORN_RULES:
             raise ValueError(f"born_rule must be one of {BORN_RULES}")
-        values, centers = np.asarray(self.values), np.asarray(self.centers)
-        for name, array in (("values", values), ("centers", centers)):
+        for name in ("values", "centers"):
+            try:
+                array = np.asarray(getattr(self, name))
+            except ValueError:  # ragged nesting; an object array fails the check below
+                array = np.array(None)
             if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
                 raise ValueError(f"{name} must be finite real numbers")
-        values, centers = values.astype(float), centers.astype(float)
+        values, centers = np.array(self.values, dtype=float), np.array(self.centers, dtype=float)
         if values.shape != (len(self.labels), centers.size):
             raise ValueError("values must have shape (len(labels), n_bins)")
         require("negative probability", -float(np.min(values)), 1e-12)

@@ -168,6 +168,19 @@ def dense_delayed_table(config, marker_unitary=None):
     return _measure_marker(config, "delayed", coupled, marker_unitary, readout)
 
 
+def rounding_tolerance(config, table) -> float:
+    """How far the delayed route may round away from `table`, its dense-register oracle.
+
+    Each route rounds a node's phase kappa * x to about eps * kappa * a, and
+    the two round it differently.  Each entry sums Q node terms and the
+    readout's two, in a different order on each side, and a sum of n terms
+    rounds by up to about n * eps times its scale (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
+    """
+    scale = max(1.0, config.phase_gradient * config.support_half_width) * max(1.0, float(table.values.max()))
+    return float(np.finfo(float).eps) * (config.quadrature_points + 2) * scale
+
+
 def grid_simple_table(config, marker_unitary=None):
     """The simple-erasure table binned on the delayed route's quadrature grid.
 

@@ -23,7 +23,7 @@ from erasure_lab.cli import (
     main,
     parse_config,
 )
-from helpers import dense_delayed_table
+from helpers import dense_delayed_table, rounding_tolerance
 
 FLOAT_KEYS = ("envelope_width", "phase_gradient", "bin_width", "span", "tolerance")
 
@@ -34,6 +34,24 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 CONFIG_DOCS = st.dictionaries(st.sampled_from(_CLI_KEYS + _ERASURE_KEYS), st.sampled_from(COMMANDS) | JSON_VALUES)
+
+
+@st.composite
+def geometry_docs(draw):
+    """Any valid geometry: bins tiling the span, the window inside it, any kappa, Q, basis and rule."""
+    n_bins, bin_width = draw(st.integers(1, 32)), draw(st.floats(2**-10, 16.0))
+    span = n_bins * bin_width
+    # Subnormal floats are config errors (see test_unresolvable_geometry_rejected).
+    return {
+        "envelope_width": draw(st.floats(0.0, span / 8.0, exclude_min=True, allow_subnormal=False)),
+        "phase_gradient": draw(st.floats(0.0, 4.0, exclude_min=True, allow_subnormal=False)),
+        "n_bins": n_bins,
+        "bin_width": bin_width,
+        "span": span,
+        "basis": draw(st.sampled_from(erasure.BASIS_CHOICES)),
+        "born_rule": draw(st.sampled_from(erasure.BORN_RULES)),
+        "quadrature_points": draw(st.integers(1, 64)),
+    }
 
 
 def run_cli(args):
@@ -283,6 +301,24 @@ class TestExitCodes:
         assert err == "error: MemoryError: array does not fit\n"
         assert "Traceback" not in err
 
+    def test_out_naming_a_file_is_3(self, tmp_path, capsys):
+        # The command computes, then its output directory cannot be made.
+        (tmp_path / "taken").write_text("keep")
+        assert run_cli(["verify", "--out", str(tmp_path / "taken")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "keep"
+
+    def test_failing_command_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # verify's simple route has run when the delayed one raises; nothing is written yet.
+        def broken(config, marker_unitary=None):
+            raise RuntimeError("route failed")
+
+        monkeypatch.setattr(erasure, "run_delayed_choice", broken)
+        assert run_cli(["verify", "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "error: RuntimeError: route failed\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unnormalized_grid_state_is_4(self, tmp_path, capsys, monkeypatch):
         # Modes 1% too large fail the delayed route's norm check on the grid state.
         slit_modes = erasure.ErasureConfig.slit_modes
@@ -310,31 +346,20 @@ class TestVerifyGeometry:
         assert report["max_deviation"] == pytest.approx(1.74e-3, rel=0.01)
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        data=st.data(),
-        n_bins=st.integers(1, 32),
-        bin_width=st.floats(2**-10, 16.0),
-        kappa=st.floats(0.0, 4.0, exclude_min=True, allow_subnormal=False),
-        points=st.integers(1, 64),
-        basis=st.sampled_from(erasure.BASIS_CHOICES),
-        born_rule=st.sampled_from(erasure.BORN_RULES),
-    )
-    def test_any_valid_geometry_verifies_or_fails(
-        self, tmp_path_factory, data, n_bins, bin_width, kappa, points, basis, born_rule
-    ):
-        # Subnormal floats are config errors (see test_unresolvable_geometry_rejected).
-        span = n_bins * bin_width
-        envelope = data.draw(st.floats(0.0, span / 8.0, exclude_min=True, allow_subnormal=False))
-        doc = {
-            "envelope_width": envelope,
-            "phase_gradient": kappa,
-            "n_bins": n_bins,
-            "bin_width": bin_width,
-            "span": span,
-            "basis": basis,
-            "born_rule": born_rule,
-            "quadrature_points": points,
+    @given(doc=geometry_docs())
+    @example(
+        doc={
+            "envelope_width": 9.06,
+            "phase_gradient": 3.99,
+            "n_bins": 19,
+            "bin_width": 11.05,
+            "span": 19 * 11.05,
+            "basis": "pmi",
+            "born_rule": "intensity",
+            "quadrature_points": 2,
         }
+    )
+    def test_any_valid_geometry_verifies_or_fails(self, tmp_path_factory, doc):
         work = tmp_path_factory.mktemp("geometry")
         (work / "config.json").write_text(json.dumps(doc))
         err = io.StringIO()
@@ -343,12 +368,12 @@ class TestVerifyGeometry:
         assert code in (0, 1), err.getvalue()
         assert "Traceback" not in err.getvalue()
         # The dense register is at most 32 * 32 * 64 * 33 bytes (2.2 MB) here,
-        # so every draw is checked against it.  Amplitude entries are bounded
-        # by the bin width, |int psi|^2 <= L int |psi|^2, and so is their rounding.
+        # so every draw is checked against it.
         config = erasure.ErasureConfig(**doc)
-        scale = max(1.0, bin_width) if born_rule == "amplitude" else 1.0
-        report = erasure.verify_equality(run_delayed_choice(config), dense_delayed_table(config), 1e-15 * scale)
-        assert report.passed, f"max deviation {report.max_deviation}"
+        dense = dense_delayed_table(config)
+        tolerance = rounding_tolerance(config, dense)
+        report = erasure.verify_equality(run_delayed_choice(config), dense, tolerance)
+        assert report.passed, f"max deviation {report.max_deviation} against {tolerance:.3g}"
 
 
 class TestDeterminism:

@@ -30,6 +30,7 @@ from helpers import (
     flat_grid,
     fringe_visibility,
     grid_simple_table,
+    rounding_tolerance,
     screen_amplitude,
     tomography_states,
 )
@@ -482,15 +483,9 @@ class TestDelayedChoice:
             born_rule=born_rule,
             quadrature_points=points,
         )
-        delayed, dense = run_delayed_choice(config), dense_delayed_table(config)
-        # Each route rounds a node's phase kappa * x to about eps * kappa * a,
-        # and the two round it differently.  Each entry sums Q node terms and
-        # the readout's two, in a different order on each side, and a sum of n
-        # terms rounds by up to about n * eps times its scale (Higham, Accuracy
-        # and Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
-        scale = max(1.0, kappa * config.support_half_width) * max(1.0, float(dense.values.max()))
-        tolerance = np.finfo(float).eps * (points + 2) * scale
-        report = verify_equality(delayed, dense, tolerance=tolerance)
+        dense = dense_delayed_table(config)
+        tolerance = rounding_tolerance(config, dense)
+        report = verify_equality(run_delayed_choice(config), dense, tolerance=tolerance)
         assert report.passed, f"max deviation {report.max_deviation} against {tolerance:.3g}"
 
     def test_matches_dense_register_under_marker_evolution(self):
@@ -673,6 +668,8 @@ class TestProbabilityTable:
             ([[1.0]], [math.inf], "centers"),
             ([[1.0]], ["0"], "centers"),
             ([[1.0]], [False], "centers"),
+            ([[0.5], [0.25, 0.25]], [0.0], "values"),
+            ([[1.0]], [[0.0], [1.0, 2.0]], "centers"),
         ],
     )
     def test_rejects_non_numeric_or_non_finite_inputs(self, values, centers, name):

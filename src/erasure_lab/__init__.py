@@ -13,7 +13,6 @@ from .coherence import (
     SymmetryClass,
     classify_symmetry,
     coherence_pair,
-    exchange_operator,
     search_symmetric_bases,
 )
 from .erasure import (
@@ -70,7 +69,6 @@ __all__ = [
     "couple_shift_register",
     "cut_compare",
     "distant_measure",
-    "exchange_operator",
     "haar_random_unitary",
     "is_epr_type",
     "mark_which_way",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .measurement import balanced_pair
 from .schmidt import SchmidtDecomposition, reschmidt
-from .states import StateVector, UnitaryOperator, positive_number
+from .states import StateVector, positive_number
 
 CLASSIFY_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
@@ -84,13 +84,6 @@ def coherence_pair(params: CoherenceBasisParams) -> tuple[StateVector, StateVect
         ]
     )
     return StateVector((2,), a), StateVector((2,), b)
-
-
-def exchange_operator(d: int) -> UnitaryOperator:
-    """Two-particle exchange |j>|k> -> |k>|j> on a d x d bipartite space."""
-    d = positive_number("d", d, int)
-    swapped = np.arange(d * d).reshape(d, d).T.reshape(-1)  # row k*d + j holds j*d + k
-    return UnitaryOperator(np.eye(d * d)[swapped])
 
 
 def _matches_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:

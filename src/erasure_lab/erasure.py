@@ -7,8 +7,9 @@ probability table p(d, n) over marker outcomes d and detector bins n:
 
 * simple (before-detection) erasure measures the marker first: outcome d
   leaves the screen particle in its unnormalized partner chi_d on the two
-  slit modes, and p(d, n) = <chi_d| E_n |chi_d> with E_n the closed-form
-  2x2 operator of detector bin n under the chosen Born rule;
+  slit modes, and p(d, n) = <chi_d| E_n |chi_d> with E_n the 2x2 operator
+  of detector bin n under the chosen Born rule, contracted in closed form
+  from chi_d's two coefficients without forming E_n;
 * delayed-choice (after-detection) erasure couples the screen particle to a
   localization register on a position grid first.  A click in bin n leaves
   the marker in its unnormalized relative state rho_M(n), a 2x2 matrix per
@@ -160,9 +161,11 @@ class ErasureConfig:
             raise ValueError(f"basis must be one of {BASIS_CHOICES}")
         if self.born_rule not in BORN_RULES:
             raise ValueError(f"born_rule must be one of {BORN_RULES}")
-        span = self.span
-        require("|span - n_bins * bin_width|", abs(span - self.n_bins * self.bin_width), 1e-9 * span)
-        require("envelope support 8 * envelope_width past span", 8.0 * self.envelope_width - span, 1e-12 * span)
+        span, covered = self.span, self.n_bins * self.bin_width
+        require("|span - n_bins * bin_width|", abs(span - covered), 1e-9 * span)
+        # The bins must hold the window, and span may differ from them by 1e-9 of itself.
+        past = 8.0 * self.envelope_width - covered
+        require("envelope support 8 * envelope_width past n_bins * bin_width", past, 1e-12 * covered)
 
     @property
     def support_half_width(self) -> float:
@@ -230,6 +233,8 @@ def _basis(config: ErasureConfig, marker_unitary: UnitaryOperator | None) -> tup
     labels, kets = zip(*_BASIS_KETS[config.basis])
     kets = np.array(kets)
     if marker_unitary is not None:
+        if not isinstance(marker_unitary, UnitaryOperator):
+            raise ValueError(f"marker_unitary must be a UnitaryOperator, not {type(marker_unitary).__name__}")
         if marker_unitary.dim != 2:
             raise ValueError(f"unitary dimension {marker_unitary.dim} does not match the marker dimension 2")
         kets = kets @ marker_unitary.matrix.conj()
@@ -244,14 +249,15 @@ def run_simple_erasure(
 
     Measuring the marker ket k_d steers the screen particle into its
     unnormalized partner superposition chi_d = (<k_d| x 1)|source>, with
-    coefficients on the slit modes psi_1, psi_2.  Its detection value in bin n
-    is p(d, n) = <chi_d| E_n |chi_d>, where E_n is the bin's 2x2 operator on the
-    slit modes, in closed form.  On the bin clipped to the window |x| <= a,
-    its piece [lo, hi] from `quadrature_grid`, both Born rules reduce, times
-    the squared window height 1 / (2a), to I(w) = int_lo^hi exp(i w x) dx,
-    kept precise as w -> 0 in the form exp(i w m) * L * sinc(w L / 2), with
-    L = hi - lo and m the midpoint: E_n = [[L, I(2 kappa)], [I(-2 kappa), L]]
-    (intensity), or conj(v) v^T with v = (I(-kappa), I(kappa)) (amplitude).
+    coefficients c_d1, c_d2 on the slit modes psi_1, psi_2.  Its detection
+    value in bin n is p(d, n) = <chi_d| E_n |chi_d>, contracted per rule
+    without forming the bin's 2x2 operator E_n.  On the bin clipped to the
+    window |x| <= a, its piece [lo, hi] from `quadrature_grid`, both Born
+    rules reduce, times the squared window height 1 / (2a), to
+    I(w) = int_lo^hi exp(i w x) dx, kept precise as w -> 0 in the form
+    exp(i w m) * L * sinc(w L / 2), with L = hi - lo and m the midpoint:
+    p = L (|c_d1|^2 + |c_d2|^2) + 2 Re(conj(c_d1) c_d2 I(2 kappa)) (intensity,
+    as I(-w) = conj I(w)), or p = |c_d1 I(-kappa) + c_d2 I(kappa)|^2 (amplitude).
     This is the delayed route's trace taken in the opposite order, marker first.
 
     `marker_unitary` is an optional free evolution of the marker before its
@@ -266,14 +272,14 @@ def run_simple_erasure(
         return np.exp(1j * omega * mid) * length * np.sinc(omega * length / (2.0 * math.pi))
 
     kappa = config.phase_gradient
-    # E_n as a (2, 2, n_bins) array: slit-mode row, slit-mode column, bin.
+    # The partner coefficients c_d1, c_d2 as columns, one row per outcome d.
+    c1, c2 = (kets.conj() @ coefficient_matrix(balanced_pair(), (0,))).T[:, :, None]
     if config.born_rule == "amplitude":
-        v = np.array([integral(-kappa), integral(kappa)])
-        bin_operator = v.conj()[:, None] * v[None, :]
+        values = np.abs(c1 * integral(-kappa) + c2 * integral(kappa)) ** 2
     else:
-        bin_operator = np.array([[length, integral(2.0 * kappa)], [integral(-2.0 * kappa), length]])
-    partners = kets.conj() @ coefficient_matrix(balanced_pair(), (0,))
-    values = np.einsum("dj,jkn,dk->dn", partners.conj(), bin_operator, partners).real / (2.0 * a)
+        values = 2.0 * (c1.conj() * c2 * integral(2.0 * kappa)).real
+        values += (np.abs(c1) ** 2 + np.abs(c2) ** 2) * length
+    values /= 2.0 * a
     return _table(config, "simple", labels, values)
 
 
@@ -281,10 +287,10 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     """The marker's unnormalized relative state rho_M(n) per detector bin, shape (n_bins, 2, 2).
 
     The screen particle on the quadrature grid is coupled to a localization
-    register by the shift |x>|0> -> |x>|bin(x)>, an isometry, so the coupled
-    state is held exactly in its image: one amplitude psi_m(j) per marker
-    state m and node j, carrying sqrt(weight) so that norms match the
-    continuum integrals.  rho_M(n) traces out the nodes of bin n: the sum of
+    register by the shift |x>|0> -> |x>|bin(x)>, an isometry, so its state is
+    amplitudes psi_m(j) per marker state m and node j, carrying sqrt(weight)
+    so that norms match the continuum integrals; neither they nor the register
+    are stored (below).  rho_M(n) traces out the nodes of bin n: the sum of
     psi psi^dagger (intensity rule), or s s^dagger with s the bin sum of
     sqrt(w) psi (amplitude rule).  Its trace is the bin's detection value.
 
@@ -295,7 +301,7 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     over its nodes is thus its midpoint modes times one Gauss-Legendre sum over
     the offsets d of its half-width: the 2x2 Gram of the offset modes
     (intensity) or their pair of sums (amplitude), once per distinct half-width.
-    The coupled state's norm is summed the same way.
+    The coupled state's norm reads the diagonal of the same Grams, for both rules.
     """
     mid, half = quadrature_grid(config)
     base_x, base_w = _gauss_legendre(config.quadrature_points)
@@ -306,13 +312,12 @@ def marker_states(config: ErasureConfig) -> np.ndarray:
     offset_modes = config.slit_modes(widths[:, None] * base_x)
     offset_modes *= math.sqrt(2.0 * config.support_half_width) * _SQRT_HALF
     weighted = offset_modes * (widths[:, None] * base_w)
-    # Per width: N_j(h) = sum_q h w_q |psi_j(h x_q)|^2, shape (widths, 2).
-    norms = np.vecdot(offset_modes, weighted).real.T
-    norm_sq = np.vdot(np.abs(mid_modes) ** 2, norms[width_of])
+    # Per width: sum_q h w_q psi_m(h x_q) psi_k(h x_q)^*, shape (widths, 2, 2).
+    grams = np.vecdot(offset_modes[None, :], weighted[:, None]).transpose(2, 0, 1)
+    # Its diagonal N_j(h) = sum_q h w_q |psi_j(h x_q)|^2 weighs the squared midpoint modes.
+    norm_sq = np.vdot(np.abs(mid_modes) ** 2, grams.diagonal(axis1=1, axis2=2).real[width_of])
     require("|state vector norm - 1|", abs(math.sqrt(norm_sq) - 1.0), EXACT_TOL)
     if config.born_rule == "intensity":
-        # Per width: sum_q h w_q psi_m(h x_q) psi_k(h x_q)^*, shape (widths, 2, 2).
-        grams = np.vecdot(offset_modes[None, :], weighted[:, None]).transpose(2, 0, 1)
         rho = grams[width_of]
         rho *= mid_modes[:, :, None]
         rho *= mid_modes[:, None, :].conj()

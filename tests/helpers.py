@@ -20,6 +20,7 @@ from erasure_lab import (
     tensor,
 )
 from erasure_lab.erasure import _BASIS_KETS, _table, quadrature_grid
+from erasure_lab.states import positive_number
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -76,6 +77,17 @@ def controlled_shift_unitary(control_dim: int, register_dim: int, shifts) -> Uni
         for m in range(register_dim):
             mat[j * register_dim + (m + shifts[j]) % register_dim, j * register_dim + m] = 1.0
     return UnitaryOperator(mat)
+
+
+def exchange_operator(d: int) -> UnitaryOperator:
+    """Two-particle exchange |j>|k> -> |k>|j> on a d x d bipartite space.
+
+    Oracle for the exchange symmetry that `classify_symmetry` reads by
+    transposing each term's 2x2 coefficients.
+    """
+    d = positive_number("d", d, int)
+    swapped = np.arange(d * d).reshape(d, d).T.reshape(-1)  # row k*d + j holds j*d + k
+    return UnitaryOperator(np.eye(d * d)[swapped])
 
 
 def which_way_marker(dim: int) -> UnitaryOperator:
@@ -169,7 +181,7 @@ def dense_delayed_table(config, marker_unitary=None):
 
 
 def rounding_tolerance(config, table) -> float:
-    """How far the delayed route may round away from `table`, its dense-register oracle.
+    """How far the delayed route may round away from an oracle's `table`.
 
     Each route rounds a node's phase kappa * x to about eps * kappa * a, and
     the two round it differently.  Each entry sums Q node terms and the

@@ -149,8 +149,9 @@ class TestParseConfig:
             ({"envelope_width": 5e-324}, "envelope_width must be positive and not subnormal"),
             ({"bin_width": 1e-310}, "bin_width must be positive and not subnormal"),
             ({"n_bins": 1, "bin_width": 1e-14, "span": 1e-14, "envelope_width": 1e-13}, "envelope"),
+            ({"span": 8.000000004, "envelope_width": 1.0000000005}, r"envelope support .* past n_bins \* bin_width"),
         ],
-        ids=["envelope_width-subnormal", "bin_width-subnormal", "window-wider-than-tiny-span"],
+        ids=["envelope_width-subnormal", "bin_width-subnormal", "window-wider-than-tiny-span", "window-past-the-bins"],
     )
     def test_unresolvable_geometry_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):

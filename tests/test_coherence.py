@@ -14,7 +14,6 @@ from erasure_lab import (
     apply_unitary,
     classify_symmetry,
     coherence_pair,
-    exchange_operator,
     mark_which_way,
     reschmidt,
     schmidt_decompose,
@@ -23,6 +22,7 @@ from erasure_lab import (
 )
 from erasure_lab.coherence import search_results_csv
 from erasure_lab.erasure import _BASIS_KETS
+from helpers import exchange_operator
 
 SQRT_HALF = math.sqrt(0.5)
 TWO_PI = 2 * math.pi

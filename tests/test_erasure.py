@@ -344,6 +344,11 @@ class TestDelayedChoice:
         with pytest.raises(ValueError, match="unitary dimension 3 does not match"):
             run(ErasureConfig(), marker_unitary=u)
 
+    @pytest.mark.parametrize("run", [run_simple_erasure, run_delayed_choice])
+    def test_marker_unitary_must_be_a_unitary_operator(self, run):
+        with pytest.raises(ValueError, match="^marker_unitary must be a UnitaryOperator, not ndarray$"):
+            run(ErasureConfig(), np.eye(2))
+
     def test_single_bin_detection_is_certain(self):
         config = ErasureConfig(n_bins=1, bin_width=8.0, span=8.0)
         table = run_delayed_choice(config)
@@ -498,28 +503,37 @@ class TestDelayedChoice:
     def test_memory_does_not_scale_with_register(self):
         # A dense (n_bins + 1)-slot register at 256 x 64 would take 32 * 256 * 64 * 257
         # bytes (~128 MiB) per copy; the route holds no array of its 256 * 64 nodes at all.
-        peak = delayed_peak_bytes(ErasureConfig(n_bins=256, bin_width=8.0 / 256, quadrature_points=64))
+        peak = peak_bytes(run_delayed_choice, ErasureConfig(n_bins=256, bin_width=8.0 / 256, quadrature_points=64))
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_4096_bins(self):
         # 4096 x 256 nodes: N = 2**20, and a complex array of N takes 16 MiB.  No
         # array of N is held: each half-width has (2, 256) offset modes, and
         # the per-bin 2x2 matrices (4096, 2, 2) take 256 KiB.
-        peak = delayed_peak_bytes(ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256))
+        peak = peak_bytes(run_delayed_choice, ErasureConfig(n_bins=4096, bin_width=8.0 / 4096, quadrature_points=256))
         assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_65536_bins(self):
         # 65536 x 64 nodes: N = 2**22.  Holding the flat grid, its (2, N) modes and
         # the coupled state at once took about 0.4 GiB; the route holds the per-bin
         # midpoint modes, the 2x2 matrices (65536, 2, 2) of 4 MiB and the table.
-        peak = delayed_peak_bytes(ErasureConfig(n_bins=65536, bin_width=8.0 / 65536, quadrature_points=64))
+        peak = peak_bytes(run_delayed_choice, ErasureConfig(n_bins=65536, bin_width=8.0 / 65536, quadrature_points=64))
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_at_262144_bins(self):
         # 2**18 x 16 nodes.  One piece per bin: the result (2**18, 2, 2) of 16 MiB
         # is formed in place, and the midpoint modes take 8 MiB.
-        peak = delayed_peak_bytes(ErasureConfig(n_bins=2**18, bin_width=8.0 / 2**18, quadrature_points=16))
+        peak = peak_bytes(run_delayed_choice, ErasureConfig(n_bins=2**18, bin_width=8.0 / 2**18, quadrature_points=16))
         assert peak <= 44 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("born_rule,bound_mib", [("intensity", 21), ("amplitude", 30)], ids=BORN_RULES)
+    def test_simple_route_memory_at_262144_bins(self, born_rule, bound_mib):
+        # 2**18 bins.  Each rule forms its complex integrals per bin and their (2, n_bins)
+        # products with the partner coefficients, 18 and 26 MiB at peak; a
+        # (2, 2, n_bins) bin operator before the contraction took 34 and 42 MiB.
+        config = ErasureConfig(n_bins=2**18, bin_width=8.0 / 2**18, quadrature_points=16, born_rule=born_rule)
+        peak = peak_bytes(run_simple_erasure, config)
+        assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_norm_check_rejects_unnormalized_modes(self, monkeypatch):
         slit_modes = ErasureConfig.slit_modes
@@ -566,11 +580,11 @@ class TestDelayedChoice:
             np.testing.assert_array_equal(table.values, simple[0].values)
 
 
-def delayed_peak_bytes(config) -> int:
-    """Peak traced allocation of one `run_delayed_choice(config)`."""
+def peak_bytes(run, config) -> int:
+    """Peak traced allocation of one `run(config)`."""
     tracemalloc.start()
     try:
-        run_delayed_choice(config)
+        run(config)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -589,7 +603,11 @@ class TestMarkerStates:
         config = ErasureConfig(
             phase_gradient=k * math.pi / 8, n_bins=n_bins, bin_width=8.0 / n_bins, born_rule=born_rule
         )
-        assert worst_state_distance(config) <= 1e-14
+        # The oracle rebuilds rho_M(n) from three simple tables, whose largest entry sets the scale.
+        tables = (run_simple_erasure(dataclasses.replace(config, basis=basis)) for basis in BASIS_CHOICES)
+        tolerance = max(rounding_tolerance(config, table) for table in tables)
+        distance = worst_state_distance(config)
+        assert distance <= tolerance, f"worst trace distance {distance} against {tolerance:.3g}"
 
     def test_coarse_quadrature_shows_in_the_states(self):
         assert worst_state_distance(ErasureConfig(quadrature_points=1)) > 1e-3
@@ -703,6 +721,10 @@ class TestErasureConfig:
         with pytest.raises(ValueError, match="envelope"):
             ErasureConfig(n_bins=1, bin_width=1e-14, span=1e-14, envelope_width=1e-13)
         ErasureConfig(envelope_width=1.0 + 1e-15)
+        # span may exceed the bins by 1e-9 of itself, so the window is checked
+        # against the bins: this one is 4e-9 past them and inside span.
+        with pytest.raises(ValueError, match=r"^envelope support 8 \* envelope_width past n_bins \* bin_width: "):
+            ErasureConfig(span=8.000000004, envelope_width=1.0000000005)
 
     @pytest.mark.parametrize("field", ["envelope_width", "bin_width", "phase_gradient"])
     def test_subnormal_values_rejected(self, field):

@@ -16,14 +16,13 @@ from erasure_lab import (
     basis_state,
     couple_shift_register,
     distant_measure,
-    exchange_operator,
     haar_random_unitary,
     partial_trace,
     tensor,
     trace_norm_distance,
 )
 from erasure_lab.states import require
-from helpers import partial_trace_oracle, random_state, trace_distance_oracle
+from helpers import exchange_operator, partial_trace_oracle, random_state, trace_distance_oracle
 
 
 @pytest.fixture
